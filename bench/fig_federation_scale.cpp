@@ -23,6 +23,9 @@
 //   * serial oracle: region=1 + sampling off reproduces the flat
 //     GlobalNetworkView bit-identically through the full
 //     proxy -> codec -> root path.
+//   * memory: the process's peak RSS (VmHWM, read at exit) <= kPeakRssMaxMb
+//     in every mode, --quick included — per-daemon memory must grow with
+//     traffic, not with fleet size.
 //
 // --metrics-json FILE additionally dumps the n=1000 federated run's
 // telemetry snapshot (vw.metrics.v1) for tools/check_metrics.py
@@ -57,6 +60,7 @@ namespace {
 constexpr double kRatioMax = 0.5;
 constexpr double kExponentMax = 1.5;
 constexpr double kGapMax = 0.15;
+constexpr double kPeakRssMaxMb = 512;
 constexpr std::size_t kPoolSize = 32;   ///< candidate hosts for the 8-VM ring
 constexpr std::size_t kPeersPerHost = 8;
 constexpr std::size_t kRingVms = 8;
@@ -287,6 +291,17 @@ bool run_flat_identical_differential() {
 
 std::string bool_json(bool b) { return b ? "true" : "false"; }
 
+/// Process peak resident set (VmHWM) in MiB; -1 when /proc is unavailable,
+/// which fails the memory gate rather than passing it unmeasured.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
+  return -1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -348,6 +363,8 @@ int main(int argc, char** argv) {
                static_cast<double>(std::max<std::uint64_t>(1, lo.root_view_bytes))) /
       std::log(static_cast<double>(hi.n) / static_cast<double>(lo.n));
   if (!quick && exponent > kExponentMax) pass = false;
+  const double peak_rss = peak_rss_mb();
+  if (peak_rss < 0 || peak_rss > kPeakRssMaxMb) pass = false;
 
   std::ostringstream json;
   json << "{\n  \"suite\": \"federation\",\n  \"runs\": [\n";
@@ -372,9 +389,11 @@ int main(int argc, char** argv) {
   json << "  ],\n"
        << "  \"scaling_exponent\": " << exponent << ",\n"
        << "  \"flat_identical\": " << bool_json(flat_identical) << ",\n"
+       << "  \"peak_rss_mb\": " << peak_rss << ",\n"
        << "  \"gates\": {\"ratio_max\": " << kRatioMax << ", \"worst_ratio\": " << worst_ratio
        << ", \"gap_max\": " << kGapMax << ", \"worst_gap\": " << worst_gap
-       << ", \"exponent_max\": " << kExponentMax << ", \"pass\": " << bool_json(pass)
+       << ", \"exponent_max\": " << kExponentMax << ", \"peak_rss_max_mb\": " << kPeakRssMaxMb
+       << ", \"pass\": " << bool_json(pass)
        << "}\n}\n";
 
   std::ofstream out(out_path);

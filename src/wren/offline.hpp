@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "wren/sic.hpp"
@@ -15,23 +13,14 @@
 // paper's online extension: "the packet traces can be filtered for useful
 // observations and transmitted to a remote repository for analysis".
 //
-// A TraceArchive serializes filtered packet-header records to a portable
-// text format (the vw.trace.v1 binary codec in wren/trace_binary.hpp is the
-// high-rate equivalent); OfflineAnalyzer replays an archive (or an
-// in-memory record vector) through the same train-extraction + SIC
-// machinery the online analyzer uses and emits the available-bandwidth
-// observation series. merge_traces / apply_filter / match_traces are the
-// corpus operations behind the vwcap-extract and vwcap-match tools.
+// Archives are vw.trace.v1 files (wren/trace_binary.hpp). analyze_offline
+// replays an archive's records (or any in-memory record vector) through the
+// same train-extraction + SIC machinery the online analyzer uses and emits
+// the available-bandwidth observation series. merge_traces / apply_filter /
+// match_traces are the corpus operations behind the vwcap-extract and
+// vwcap-match tools.
 
 namespace vw::wren {
-
-/// Serialize records to the archive text format (one record per line).
-void write_trace(std::ostream& out, const std::vector<PacketRecord>& records);
-
-/// Parse an archive produced by write_trace; throws std::runtime_error on
-/// malformed input (with the offending line number). Trailing garbage after
-/// a record's last field is malformed too.
-std::vector<PacketRecord> read_trace(std::istream& in);
 
 /// Keep only the records Wren's analysis consumes: outgoing data packets
 /// and incoming pure ACKs ("filtered for useful observations").

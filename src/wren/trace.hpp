@@ -48,32 +48,40 @@ class TraceFacility {
 
   /// Attach telemetry (wren.trace.captured / wren.trace.dropped counters
   /// plus the wren.trace.buffered occupancy gauge, updated on every capture
-  /// and drain so ring occupancy is observable between collect() calls).
+  /// and drain so ring occupancy is observable between collect() calls, and
+  /// the wren.trace.capacity_bytes gauge, updated only when the ring grows).
   void set_obs(const obs::Scope& scope);
 
   net::NodeId host() const { return host_; }
   std::uint64_t records_captured() const { return captured_; }
   std::uint64_t records_dropped() const { return dropped_; }
-  std::size_t buffered() const { return size_; }
+  std::size_t buffered() const { return ring_.size(); }
+  /// Bytes the ring holds reserved: the high-water mark of this host's
+  /// traffic between drains, never more than the cap.
+  std::size_t capacity_bytes() const { return ring_.capacity() * sizeof(PacketRecord); }
 
  private:
   void on_tap(const net::TapEvent& ev);
+  void grow();
 
   net::Network& network_;
   net::NodeId host_;
   std::size_t capacity_;
   net::TapId tap_id_;
-  // Fixed-capacity ring, allocated once at construction. `head_` is the
-  // oldest record; overflow overwrites it (drop-oldest, like the kernel
-  // buffer Wren drains) without any deque node churn.
+  // Ring that grows with traffic up to `capacity_` records; construction
+  // allocates nothing. Below the cap records are appended and `head_` stays
+  // 0. Once full, `head_` is the oldest record and overflow overwrites it
+  // (drop-oldest, like the kernel buffer Wren drains) without any deque
+  // node churn. collect() keeps the reservation, so a host holds its own
+  // high-water mark between drains.
   std::vector<PacketRecord> ring_;
   std::size_t head_ = 0;
-  std::size_t size_ = 0;
   std::uint64_t captured_ = 0;
   std::uint64_t dropped_ = 0;
   obs::Counter* c_captured_ = nullptr;
   obs::Counter* c_dropped_ = nullptr;
   obs::Gauge* g_buffered_ = nullptr;
+  obs::Gauge* g_capacity_bytes_ = nullptr;
 };
 
 }  // namespace vw::wren

@@ -10,6 +10,8 @@
 
 #include "net/network.hpp"
 #include "net/probe.hpp"
+#include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "sim/simulator.hpp"
 #include "soap/rpc.hpp"
 #include "transport/sources.hpp"
@@ -289,6 +291,36 @@ struct WrenEnv {
   }
 };
 
+// TraceCapturesTcpOnly's records as the eagerly allocated ring (the whole cap
+// reserved at construction) captured them; growing on demand must not change them.
+constexpr std::size_t kPinnedCount = 17;
+constexpr std::uint64_t kPinnedDigest = 8387598019333215440ull;
+
+std::uint64_t records_digest(const std::vector<PacketRecord>& records) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) {
+      h ^= v & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const PacketRecord& r : records) {
+    mix(static_cast<std::uint64_t>(r.timestamp));
+    mix(static_cast<std::uint64_t>(r.direction));
+    mix(r.flow.src);
+    mix(r.flow.dst);
+    mix(r.flow.src_port);
+    mix(r.flow.dst_port);
+    mix(r.payload_bytes);
+    mix(r.wire_bytes);
+    mix(r.seq);
+    mix(r.ack);
+    mix(r.is_ack);
+    mix(r.syn);
+  }
+  return h;
+}
+
 TEST(WrenEndToEndTest, TraceCapturesTcpOnly) {
   WrenEnv env;
   TraceFacility trace(env.net, env.sender);
@@ -300,6 +332,67 @@ TEST(WrenEndToEndTest, TraceCapturesTcpOnly) {
   const auto records = trace.collect();
   EXPECT_GT(records.size(), 0u);
   for (const auto& r : records) EXPECT_EQ(r.flow.proto, Protocol::kTcp);
+  EXPECT_EQ(trace.records_dropped(), 0u);
+  EXPECT_EQ(records.size(), kPinnedCount);
+  EXPECT_EQ(records_digest(records), kPinnedDigest);
+}
+
+TEST(WrenEndToEndTest, UdpOnlyHostReservesNoTraceMemory) {
+  WrenEnv env;
+  TraceFacility trace(env.net, env.sender);
+  obs::MetricsRegistry reg;
+  trace.set_obs(obs::Scope{&reg, nullptr});
+  transport::CbrUdpSource cbr(*env.stack, env.sender, env.receiver, 7000, 20e6, 1000);
+  cbr.start();
+  env.sim.run_until(seconds(1.0));
+
+  EXPECT_EQ(trace.records_captured(), 0u);
+  EXPECT_TRUE(trace.collect().empty());
+  EXPECT_EQ(trace.capacity_bytes(), 0u);
+  EXPECT_EQ(reg.gauge("wren.trace.capacity_bytes").value(), 0.0);
+}
+
+TEST(WrenEndToEndTest, RingGrowsToCapThenDropsOldest) {
+  sim::Simulator sim;
+  net::Network net(sim);
+  const net::NodeId a = net.add_host("a");
+  const net::NodeId b = net.add_host("b");
+  net.add_link(a, b, net::LinkConfig{});
+  net.compute_routes();
+
+  TraceFacility trace(net, a, 8);
+  obs::MetricsRegistry reg;
+  trace.set_obs(obs::Scope{&reg, nullptr});
+  EXPECT_EQ(trace.capacity_bytes(), 0u);  // construction allocates nothing
+
+  std::uint64_t next_seq = 0;
+  auto burst = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      net::Packet pkt;
+      pkt.flow = FlowKey{a, b, 100, 200, Protocol::kTcp};
+      pkt.payload_bytes = 1460;
+      pkt.seq = next_seq++;
+      net.send(std::move(pkt));
+    }
+    sim.run_until(sim.now() + seconds(1.0));
+  };
+
+  burst(20);
+  const auto records = trace.collect();
+  ASSERT_EQ(records.size(), 8u);
+  for (std::size_t i = 0; i < records.size(); ++i) EXPECT_EQ(records[i].seq, 12 + i);
+  EXPECT_EQ(trace.records_dropped(), 12u);
+  const std::size_t high_water = trace.capacity_bytes();
+  EXPECT_EQ(high_water, 8 * sizeof(PacketRecord));
+  EXPECT_EQ(reg.gauge("wren.trace.capacity_bytes").value(), static_cast<double>(high_water));
+
+  // collect() keeps the reservation; a second burst reuses it.
+  burst(20);
+  EXPECT_EQ(trace.capacity_bytes(), high_water);
+  const auto second = trace.collect();
+  ASSERT_EQ(second.size(), 8u);
+  EXPECT_EQ(second.front().seq, 32u);
+  EXPECT_EQ(trace.records_dropped(), 24u);
 }
 
 TEST(WrenEndToEndTest, AnalyzerMeasuresIdleLinkBandwidth) {

@@ -2,28 +2,19 @@
 
 #include <utility>
 
-#include "sim/sharded.hpp"
 #include "util/check.hpp"
 
 namespace vw::net {
 
-SimTime FaultPlan::current_time() const {
-  return ssim_ != nullptr ? ssim_->now() : sim_->now();
-}
-
 void FaultPlan::schedule(SimTime at, std::string label, std::function<void()> action) {
-  VW_REQUIRE(at >= current_time(), "FaultPlan: cannot schedule '", label,
-             "' in the past: at=", at, " now=", current_time());
+  VW_REQUIRE(at >= sim_.now(), "FaultPlan: cannot schedule '", label,
+             "' in the past: at=", at, " now=", sim_.now());
   auto fire = [this, label = std::move(label), action = std::move(action)] {
     ++injected_;
-    if (logger_) logger_->warn("fault", logcat("t=", to_seconds(current_time()), "s ", label));
+    if (logger_) logger_->warn("fault", logcat("t=", to_seconds(sim_.now()), "s ", label));
     action();
   };
-  if (ssim_ != nullptr) {
-    ssim_->schedule_global(at, std::move(fire));
-  } else {
-    sim_->schedule_at(at, std::move(fire));
-  }
+  sim_.schedule_at(at, std::move(fire));
 }
 
 void FaultPlan::link_down(SimTime at, NodeId a, NodeId b) {

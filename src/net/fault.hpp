@@ -13,27 +13,13 @@
 // physical network at fixed virtual times, so a failure scenario is
 // reproducible bit-for-bit under a given seed. All times are absolute
 // simulation times; scheduling in the past is a contract violation.
-//
-// Against a sharded engine, faults run as stop-the-world global events: a
-// link outage mutates both directions of a channel — usually owned by
-// different shards — so it must execute with every shard quiescent at the
-// fault time. The global-event protocol also keeps the outage ordered
-// before any same-timestamp shard event, independent of shard count.
-
-namespace vw::sim {
-class ShardedSimulator;
-}
 
 namespace vw::net {
 
 class FaultPlan {
  public:
   FaultPlan(sim::Simulator& sim, Network& network, Logger* logger = nullptr)
-      : sim_(&sim), network_(network), logger_(logger) {}
-
-  /// Sharded mode: every fault becomes a ShardedSimulator global event.
-  FaultPlan(sim::ShardedSimulator& sim, Network& network, Logger* logger = nullptr)
-      : ssim_(&sim), network_(network), logger_(logger) {}
+      : sim_(sim), network_(network), logger_(logger) {}
 
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
@@ -63,10 +49,8 @@ class FaultPlan {
 
  private:
   void schedule(SimTime at, std::string label, std::function<void()> action);
-  SimTime current_time() const;
 
-  sim::Simulator* sim_ = nullptr;
-  sim::ShardedSimulator* ssim_ = nullptr;
+  sim::Simulator& sim_;
   Network& network_;
   Logger* logger_;
   std::uint64_t injected_ = 0;

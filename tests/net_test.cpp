@@ -72,6 +72,29 @@ TEST(NetworkTest, DropTailWhenQueueFull) {
   EXPECT_EQ(env.net.packets_dropped(), 8u);
 }
 
+TEST(NetworkTest, PacketsDeliveredCountsHostDeliveriesIncludingLoopback) {
+  TwoHosts env;
+  int at_a = 0;
+  int at_b = 0;
+  env.net.set_host_stack(env.a, [&](Packet&&) { ++at_a; });
+  env.net.set_host_stack(env.b, [&](Packet&&) { ++at_b; });
+  for (int i = 0; i < 3; ++i) env.net.send(make_packet(env.a, env.b, 500));
+  env.net.send(make_packet(env.b, env.a, 500));
+  env.net.send(make_packet(env.a, env.a, 500));  // loopback
+  env.sim.run();
+  EXPECT_EQ(at_a, 2);
+  EXPECT_EQ(at_b, 3);
+  EXPECT_EQ(env.net.packets_delivered(), 5u);
+
+  // A packet offered to a down link never reaches a host stack, so it is
+  // not counted as delivered.
+  env.net.set_link_down(env.a, env.b, true);
+  env.net.send(make_packet(env.a, env.b, 500));
+  env.sim.run();
+  EXPECT_EQ(at_b, 3);
+  EXPECT_EQ(env.net.packets_delivered(), 5u);
+}
+
 TEST(NetworkTest, MultiHopRouting) {
   sim::Simulator sim;
   Network net(sim);

@@ -3,8 +3,7 @@
 
 Subsumes the old regex lint.py (one entry point, same exit-code contract:
 0 clean, 1 findings) and adds the semantic rule set that guards the
-reproduction's core claim — bit-identical runs per seed — before the sharded
-multi-core engine multiplies the concurrency surface:
+reproduction's core claim — bit-identical runs per seed:
 
   R1 virtual-clock purity    no wall-clock sources (std::chrono::*_clock::now,
                              time(), clock(), gettimeofday, clock_gettime) in

@@ -11,7 +11,8 @@
 // perturbation function modifies ONE randomly chosen forwarding path per
 // iteration (insert / delete / swap a vertex, probability 1/3 each) and
 // occasionally perturbs the VM mapping itself (which resets the paths);
-// acceptance follows the standard exp(dE/T) rule with geometric cooling.
+// acceptance follows the standard exp(dE/T) rule with geometric cooling
+// from a start temperature of max(|initial cost| * 0.1, 1.0).
 //
 // Evaluation is incremental: a single-path move applies an O(path-length)
 // delta through IncrementalEvaluator instead of rebuilding the O(n²)
@@ -32,7 +33,6 @@ namespace vw::vadapt {
 
 struct AnnealingParams {
   std::size_t iterations = 5000;
-  double initial_temperature = 0;    ///< <=0: auto-scale from the initial cost
   double cooling = 0.999;            ///< geometric temperature decay per iteration
   double mapping_perturb_prob = 0.05;
   std::size_t trace_stride = 1;      ///< record every k-th iteration; must be >= 1

@@ -38,7 +38,7 @@ MultiStartResult multi_start_annealing(const CapacityGraph& graph,
   auto run_chain = [&](std::size_t k) {
     try {
       std::optional<Configuration> chain_initial;
-      if (initial && (k == 0 || !params.diversify_initial)) chain_initial = *initial;
+      if (initial && k == 0) chain_initial = *initial;
       slots[k].result = simulated_annealing(graph, demands, n_vms, objective, params.annealing,
                                             Rng(chain_seeds[k]), std::move(chain_initial));
     } catch (...) {

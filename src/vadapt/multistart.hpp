@@ -15,7 +15,9 @@
 // (problem, params) — the same best configuration is produced whether the
 // chains run on one thread or sixteen. Results land in per-chain slots and
 // the merge picks the highest CEF, breaking ties toward the lowest chain
-// index, which keeps the reduction deterministic too.
+// index, which keeps the reduction deterministic too. When an initial
+// configuration is supplied (e.g. the greedy solution), chain 0 starts from
+// it and every other chain starts from an independent random configuration.
 
 namespace vw::vadapt {
 
@@ -30,10 +32,6 @@ struct MultiStartParams {
   /// ignored. When null, a pool is constructed per call as before. The
   /// outcome is identical either way: chains write index-aligned slots.
   ThreadPool* pool = nullptr;
-  /// When an initial configuration is supplied (e.g. the greedy solution),
-  /// chain 0 starts from it and the remaining chains start from independent
-  /// random configurations; false makes every chain start from the initial.
-  bool diversify_initial = true;
 };
 
 struct ChainOutcome {

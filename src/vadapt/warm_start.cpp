@@ -5,7 +5,6 @@
 #include <string>
 
 #include "util/check.hpp"
-#include "vadapt/cluster.hpp"
 #include "vadapt/perturb.hpp"
 
 namespace vw::vadapt {
@@ -134,10 +133,8 @@ std::size_t WarmStartOptimizer::run_burst(const std::vector<std::uint32_t>& targ
   if (targets.empty() || iterations == 0) return 0;
   const std::size_t n_hosts = graph_->size();
 
-  double temperature = params_.initial_temperature;
-  if (temperature <= 0) {
-    temperature = std::max(std::abs(eval_->evaluation().cost) * params_.temperature_scale, 1.0);
-  }
+  double temperature =
+      std::max(std::abs(eval_->evaluation().cost) * params_.temperature_scale, 1.0);
 
   // Sparse state tracking: `original` snapshots a path on first touch;
   // `best_diff` snapshots every touched path at the best point seen. The
@@ -268,49 +265,16 @@ WarmAdaptStats WarmStartOptimizer::adapt(const wren::ViewDelta& delta,
   eval_->exact_refresh();
   stats.cost_before = eval_->evaluation().cost;
 
-  // 2. Select the neighborhood; 3./4. burst it (decomposed when large).
+  // 2. Select the neighborhood; 3. burst it.
   const std::vector<std::uint32_t> targets = select_targets(patches, must_include);
   stats.target_demands = targets.size();
-  const auto burst_length = [this](std::size_t n_targets) {
-    return std::clamp(n_targets * params_.burst_iterations_per_target,
-                      params_.min_burst_iterations, params_.max_burst_iterations);
-  };
-  if (!targets.empty()) {
-    if (n_vms_ >= params_.decomposition_min_vms &&
-        targets.size() >= params_.decomposition_min_targets) {
-      const ClusterAssignment communities = cluster_vms_by_traffic(
-          eval_->demands(), n_vms_, ClusterParams{params_.max_cluster_size});
-      // Intra-cluster groups (keyed ascending for determinism), then the
-      // inter-cluster remainder as one final burst.
-      std::map<std::uint32_t, std::vector<std::uint32_t>> groups;
-      std::vector<std::uint32_t> inter;
-      for (std::uint32_t t : targets) {
-        const Demand& d = eval_->demands()[t];
-        const std::uint32_t a = communities.cluster_of[d.src];
-        const std::uint32_t b = communities.cluster_of[d.dst];
-        if (a == b) {
-          groups[a].push_back(t);
-        } else {
-          inter.push_back(t);
-        }
-      }
-      for (const auto& [c, group] : groups) {
-        (void)c;
-        stats.burst_iterations += run_burst(group, burst_length(group.size()), rng);
-        ++stats.burst_groups;
-      }
-      if (!inter.empty()) {
-        stats.burst_iterations += run_burst(inter, burst_length(inter.size()), rng);
-        ++stats.burst_groups;
-      }
-    } else {
-      stats.burst_iterations += run_burst(targets, burst_length(targets.size()), rng);
-      stats.burst_groups = 1;
-    }
-  }
+  const std::size_t iterations =
+      std::clamp(targets.size() * params_.burst_iterations_per_target,
+                 params_.min_burst_iterations, params_.max_burst_iterations);
+  stats.burst_iterations = run_burst(targets, iterations, rng);
   eval_->set_deferred_cost(false);
   stats.cost_after = eval_->evaluation().cost;
-  // Each burst commits its best-seen, which starts at the patched
+  // The burst commits its best-seen, which starts at the patched
   // incumbent: a warm adapt never makes the patched configuration worse.
   VW_ENSURE(stats.cost_after >= stats.cost_before,
             "warm adapt: committed cost ", stats.cost_after, " below patched incumbent ",

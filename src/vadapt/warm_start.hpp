@@ -32,10 +32,8 @@
 //      (same perturbation moves as the full annealer, no mapping moves, so
 //      no VM migrations are proposed by a warm pass). Reverts are sparse:
 //      only paths the burst actually changed are tracked and restored.
-//   4. For large touched sets on large problems, decompose hierarchically:
-//      cluster VMs by VTTIF traffic communities, burst each cluster's
-//      intra-cluster demands independently, then burst the inter-cluster
-//      remainder.
+//      The neighborhood cap bounds one burst, so a warm adapt is a single
+//      flat burst at every problem size.
 //
 // Contracts:
 //   - Empty delta + unchanged rates => adapt() returns without consuming
@@ -65,16 +63,11 @@ struct WarmStartParams {
   std::size_t burst_iterations_per_target = 200;
   std::size_t min_burst_iterations = 500;
   std::size_t max_burst_iterations = 20000;
-  /// <= 0: auto-scale to max(|incumbent cost| * temperature_scale, 1.0).
+  /// The burst starts at max(|incumbent cost| * temperature_scale, 1.0).
   /// Bursts refine a near-optimal incumbent, so they start much cooler than
   /// a from-scratch anneal (which uses 0.1 of the initial cost).
-  double initial_temperature = 0;
   double temperature_scale = 0.01;
   double cooling = 0.995;
-  /// Hierarchical decomposition kicks in at this problem/neighborhood size.
-  std::size_t decomposition_min_vms = 256;
-  std::size_t decomposition_min_targets = 96;
-  std::size_t max_cluster_size = 64;
   /// Capacity/latency assumed for a pair the delta invalidated (the view
   /// lost its measurement): mirrors SystemConfig::default_bandwidth_bps and
   /// the default latency the system's capacity_graph() uses.
@@ -89,9 +82,8 @@ struct WarmAdaptStats {
   std::size_t delta_pairs = 0;      ///< directed pairs in the consumed delta
   std::size_t patched_edges = 0;    ///< graph edges patched + refreshed
   std::size_t rate_changes = 0;     ///< demands whose VTTIF rate drifted
-  std::size_t target_demands = 0;   ///< neighborhood size the bursts covered
-  std::size_t burst_iterations = 0; ///< total SA iterations across bursts
-  std::size_t burst_groups = 0;     ///< 1 = flat burst; >1 = decomposed
+  std::size_t target_demands = 0;   ///< neighborhood size the burst covered
+  std::size_t burst_iterations = 0; ///< SA iterations the burst ran
   double cost_before = 0;           ///< incumbent cost after patch, before burst
   double cost_after = 0;            ///< committed cost
 };

@@ -86,11 +86,6 @@ void WidestPathCache::invalidate() {
   for (auto& tree : trees_) tree.reset();
 }
 
-void WidestPathCache::invalidate_source(HostIndex source) {
-  VW_REQUIRE(source < trees_.size(), "WidestPathCache::invalidate_source: out of range");
-  trees_[source].reset();
-}
-
 std::size_t WidestPathCache::invalidate_edge(HostIndex u, HostIndex v, double old_capacity,
                                              double new_capacity) {
   VW_REQUIRE(u < trees_.size() && v < trees_.size(),

@@ -71,9 +71,6 @@ class WidestPathCache {
   /// Drop every memoized tree (call after AdjacencyView::update).
   void invalidate();
 
-  /// Drop only the memoized tree rooted at `source`.
-  void invalidate_source(HostIndex source);
-
   /// Scoped invalidation for a single edge-capacity change u -> v from
   /// `old_capacity` to `new_capacity` (values as seen by the view, i.e. <= 0
   /// means "edge absent"). Must be called BEFORE or AFTER the matching

@@ -360,16 +360,6 @@ void VirtuosoSystem::bootstrap_federation() {
       [this](net::NodeId from, net::NodeId to) { start_probe(from, to); });
   if (config_.telemetry) fed->scheduler->set_obs(scope());
 
-  // The SOAP control surface for the plane.
-  fed->service = std::make_unique<soap::FederationService>(registry_, kFederationEndpoint);
-  fed->service->set_export_fn([this](std::uint32_t, const std::string& hex) {
-    federation_->root->apply_summary(wren::summary_from_hex(hex), sim_.now());
-  });
-  fed->service->set_request_fn([this](std::uint32_t from, std::uint32_t to) {
-    if (!config_.federation.on_demand) return false;
-    return federation_->scheduler->request_cold_pairs(view_, {{from, to}}, sim_.now()) > 0;
-  });
-
   // Summaries arrive at the root over the regular control plane, so their
   // traffic crosses the simulated network and is measurable against the
   // per-daemon reports they replace.
@@ -417,13 +407,6 @@ void VirtuosoSystem::bootstrap_federation() {
   }
 
   federation_ = std::move(fed);
-
-  // Each regional proxy announces itself through the SOAP surface.
-  const soap::FederationClient client(registry_, kFederationEndpoint);
-  for (const FederationRegion& reg : federation_->regions) {
-    client.subscribe(reg.id, "vnet://" + std::to_string(reg.proxy_host) + ":" +
-                                 std::to_string(fc.regional_port));
-  }
 }
 
 void VirtuosoSystem::export_summary(std::size_t region_index, bool force_full) {
@@ -648,7 +631,7 @@ AdaptationOutcome VirtuosoSystem::adapt_now(AdaptationAlgorithm algorithm) {
         config_.logger->info(
             "vadapt", logcat("warm adaptation: cost=", outcome.evaluation.cost / 1e6,
                              " Mb/s delta_pairs=", stats.delta_pairs, " targets=",
-                             stats.target_demands, " bursts=", stats.burst_groups));
+                             stats.target_demands));
       }
       return outcome;
     }

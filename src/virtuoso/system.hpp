@@ -14,7 +14,6 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
-#include "soap/federation.hpp"
 #include "soap/rpc.hpp"
 #include "soap/telemetry.hpp"
 #include "transport/stack.hpp"
@@ -216,9 +215,6 @@ class VirtuosoSystem {
   vnet::ControlPlane* regional_control(wren::RegionId region);
   /// The on-demand measurement scheduler; null when federation is off.
   wren::MeasurementScheduler* measurement_scheduler();
-  /// The federation SOAP endpoint (Subscribe / ExportSummary /
-  /// RequestMeasurement), registered during a federated bootstrap().
-  static constexpr const char* kFederationEndpoint = "federation://proxy";
 
   /// Run the liveness sweep and drop expired view entries NOW, so the next
   /// capacity_graph() snapshot cannot be built over adjacency that predates
@@ -296,7 +292,6 @@ class VirtuosoSystem {
   struct FederationRuntime {
     wren::RegionMap region_map;
     std::unique_ptr<wren::FederationRoot> root;
-    std::unique_ptr<soap::FederationService> service;
     std::unique_ptr<wren::MeasurementScheduler> scheduler;
     std::vector<FederationRegion> regions;
   };

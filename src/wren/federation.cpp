@@ -40,17 +40,6 @@ RegionMap RegionMap::round_robin(const std::vector<net::NodeId>& hosts, std::siz
   return map;
 }
 
-RegionMap RegionMap::chunked(const std::vector<net::NodeId>& hosts, std::size_t regions) {
-  VW_REQUIRE(regions >= 1, "RegionMap: need at least one region");
-  RegionMap map;
-  if (hosts.empty()) return map;
-  const std::size_t chunk = (hosts.size() + regions - 1) / regions;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    map.assign(hosts[i], static_cast<RegionId>(i / chunk));
-  }
-  return map;
-}
-
 // --- binary codec ------------------------------------------------------------
 
 namespace {
@@ -420,6 +409,14 @@ FederationRoot::FederationRoot(GlobalNetworkView& root_view, const RegionMap& re
 
 void FederationRoot::apply_summary(const FederationSummary& summary, SimTime now) {
   RegionState& state = region_state_[summary.region];
+  if (summary.seq != 0 && summary.seq <= state.last_seq) {
+    // A control-plane replay of a summary this root already applied (the
+    // resend window is replayed whole on reconnect): applying it again
+    // would roll newer entries, aggregates and coverage back to older ones.
+    ++duplicates_;
+    obs::add(c_duplicates_);
+    return;
+  }
   if (state.last_seq != 0 && summary.seq > state.last_seq + 1) {
     // A control-plane window gap ate intermediate summaries; the current
     // snapshot supersedes their entries, but the loss is counted where
@@ -427,7 +424,7 @@ void FederationRoot::apply_summary(const FederationSummary& summary, SimTime now
     seq_gaps_ += summary.seq - state.last_seq - 1;
     obs::add(c_seq_gaps_, summary.seq - state.last_seq - 1);
   }
-  if (summary.seq != 0) state.last_seq = std::max(state.last_seq, summary.seq);
+  if (summary.seq != 0) state.last_seq = summary.seq;
   state.exported = summary.entries.size();
   state.total = summary.total_pairs;
 
@@ -488,6 +485,7 @@ void FederationRoot::set_obs(const obs::Scope& scope) {
   c_entries_ = scope.counter("wren.federation.entries_applied");
   c_aggregates_ = scope.counter("wren.federation.aggregates_applied");
   c_seq_gaps_ = scope.counter("wren.federation.seq_gaps");
+  c_duplicates_ = scope.counter("wren.federation.duplicates");
   h_lag_ = scope.histogram("wren.federation.lag_seconds");
   g_coverage_ = scope.gauge("wren.federation.coverage");
   g_regions_ = scope.gauge("wren.federation.regions");

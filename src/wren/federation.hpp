@@ -64,9 +64,6 @@ class RegionMap {
 
   /// hosts[i] -> region i % regions (balanced, locality-blind).
   static RegionMap round_robin(const std::vector<net::NodeId>& hosts, std::size_t regions);
-  /// Contiguous chunks of `hosts` (locality-preserving when the caller
-  /// orders hosts by proximity, e.g. by BRITE attachment router).
-  static RegionMap chunked(const std::vector<net::NodeId>& hosts, std::size_t regions);
 
  private:
   std::map<net::NodeId, RegionId> assignments_;
@@ -274,7 +271,9 @@ class FederationRoot {
 
   /// Apply one summary. Entries land in the root view with their original
   /// regional timestamps (the TTL consistency contract); aggregates replace
-  /// this region's rows; liveness records flow to the host-seen hook.
+  /// this region's rows; liveness records flow to the host-seen hook. A
+  /// summary whose non-zero seq is not above the region's last applied seq
+  /// is a replay and is dropped (counted in duplicates()).
   void apply_summary(const FederationSummary& summary, SimTime now);
 
   /// Region-level fallback for pairs the root holds no exact entry for.
@@ -293,6 +292,8 @@ class FederationRoot {
   std::uint64_t entries_applied() const { return entries_applied_; }
   /// Summaries the per-region sequence numbers prove were lost in transit.
   std::uint64_t seq_gaps() const { return seq_gaps_; }
+  /// Replayed summaries dropped because their seq was already applied.
+  std::uint64_t duplicates() const { return duplicates_; }
 
   /// Attach telemetry (wren.federation.* counters, lag histogram, coverage
   /// gauge).
@@ -313,10 +314,12 @@ class FederationRoot {
   std::uint64_t summaries_applied_ = 0;
   std::uint64_t entries_applied_ = 0;
   std::uint64_t seq_gaps_ = 0;
+  std::uint64_t duplicates_ = 0;
   obs::Counter* c_summaries_ = nullptr;
   obs::Counter* c_entries_ = nullptr;
   obs::Counter* c_aggregates_ = nullptr;
   obs::Counter* c_seq_gaps_ = nullptr;
+  obs::Counter* c_duplicates_ = nullptr;
   obs::Histogram* h_lag_ = nullptr;
   obs::Gauge* g_coverage_ = nullptr;
   obs::Gauge* g_regions_ = nullptr;

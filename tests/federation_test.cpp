@@ -3,8 +3,7 @@
 // rejection in the style of trace_binary_test.cpp), the WrenReport XML
 // codec, the RegionalProxy top-k/aggregate export policy, the root-tier
 // fold-in (timestamps, seq gaps, coverage, liveness), the on-demand
-// measurement scheduler, the federation SOAP endpoints — and the serial
-// oracle: with one region and sampling off, the federated plane reproduces
+// measurement scheduler — and the serial oracle: with one region and sampling off, the federated plane reproduces
 // the flat GlobalNetworkView bit-identically.
 
 #include <gtest/gtest.h>
@@ -13,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "soap/federation.hpp"
-#include "soap/rpc.hpp"
 #include "wren/federation.hpp"
 #include "wren/view.hpp"
 
@@ -33,13 +30,6 @@ TEST(RegionMapTest, RoundRobinBalancesAndChunkedPreservesLocality) {
   EXPECT_EQ(rr.region_of(13), 0u);
   EXPECT_EQ(rr.hosts_in(0).size(), 3u);
   EXPECT_EQ(rr.hosts_in(2).size(), 2u);
-
-  const RegionMap ch = RegionMap::chunked(hosts, 3);
-  EXPECT_EQ(ch.region_count(), 3u);
-  // Contiguous prefixes stay together.
-  EXPECT_EQ(ch.region_of(10), ch.region_of(11));
-  EXPECT_NE(ch.region_of(10), ch.region_of(16));
-
   EXPECT_EQ(rr.region_of(999), kInvalidRegion);
 }
 
@@ -244,6 +234,25 @@ TEST(FederationRootTest, AppliesEntriesWithOriginalTimestampsAndTracksSeqGaps) {
   root.apply_summary(s, seconds(13.0));
   EXPECT_EQ(root.seq_gaps(), 1u);
   EXPECT_EQ(root.summaries_applied(), 3u);
+  EXPECT_EQ(root.duplicates(), 0u);
+
+  // A control-plane replay of the older seq 3, carrying older values, after
+  // seq 4 was applied: dropped, so the newer entry and timestamp stand.
+  FederationSummary newer = s;
+  newer.seq = 5;
+  newer.entries[0] = {1, 3, 90e6, 0.003, seconds(12.0), true, true};
+  root.apply_summary(newer, seconds(14.0));
+  FederationSummary replay = s;
+  replay.seq = 3;
+  replay.entries[0] = {1, 3, 20e6, 0.009, seconds(2.0), true, true};
+  root.apply_summary(replay, seconds(15.0));
+  EXPECT_EQ(root.duplicates(), 1u);
+  EXPECT_EQ(root.summaries_applied(), 4u);
+  EXPECT_EQ(root.seq_gaps(), 1u);
+  ASSERT_EQ(root_view.entries().size(), 1u);
+  EXPECT_EQ(root_view.entries().begin()->second.bandwidth_bps, 90e6);
+  EXPECT_EQ(root_view.entries().begin()->second.latency_s, 0.003);
+  EXPECT_EQ(root_view.entries().begin()->second.updated_at, seconds(12.0));
 }
 
 TEST(FederationRootTest, AggregateFallbackAndCoverage) {
@@ -352,57 +361,6 @@ TEST(MeasurementSchedulerTest, RequestsColdPairsOnlyHonoringCooldownAndBudget) {
   // Past the cooldown the still-cold pair is re-requested.
   EXPECT_EQ(sched.request_cold_pairs(view, {{3, 4}}, seconds(13.0)), 1u);
   EXPECT_EQ(sched.requested(), 3u);
-}
-
-// --- SOAP federation endpoints -----------------------------------------------
-
-TEST(FederationSoapTest, SubscribeExportRequestRoundTrip) {
-  soap::RpcRegistry registry;
-  soap::FederationService service(registry, "federation://proxy");
-  soap::FederationClient client(registry, "federation://proxy");
-
-  std::vector<std::pair<std::uint32_t, std::string>> subs;
-  service.set_subscribe_fn([&](std::uint32_t region, const std::string& who) {
-    subs.push_back({region, who});
-    return region < 8;
-  });
-  std::string last_payload;
-  service.set_export_fn([&](std::uint32_t region, const std::string& hex) {
-    last_payload = std::to_string(region) + ":" + hex;
-  });
-  service.set_request_fn([&](std::uint32_t from, std::uint32_t to) { return from != to; });
-
-  EXPECT_TRUE(client.subscribe(3, "vnet://h3:9002"));
-  EXPECT_FALSE(client.subscribe(9, "vnet://h9:9002"));
-  ASSERT_EQ(subs.size(), 2u);
-  EXPECT_EQ(service.subscribers().at(3), "vnet://h3:9002");
-  EXPECT_FALSE(service.subscribers().contains(9));
-
-  const std::string hex = summary_to_hex(sample_summary());
-  client.export_summary(2, hex);
-  EXPECT_EQ(service.exports_received(), 1u);
-  EXPECT_EQ(last_payload, "2:" + hex);
-
-  EXPECT_TRUE(client.request_measurement(1, 2));
-  EXPECT_FALSE(client.request_measurement(4, 4));
-  EXPECT_EQ(service.requests_received(), 2u);
-}
-
-TEST(FederationSoapTest, MalformedRequestsFault) {
-  soap::RpcRegistry registry;
-  soap::FederationService service(registry, "federation://proxy");
-
-  soap::XmlNode no_region;
-  no_region.name = "ExportSummary";
-  no_region.add_text_child("summary", "00");
-  EXPECT_THROW(registry.call("federation://proxy", "ExportSummary", no_region),
-               soap::SoapFault);
-
-  soap::XmlNode no_payload;
-  no_payload.name = "ExportSummary";
-  no_payload.attributes["region"] = "1";
-  EXPECT_THROW(registry.call("federation://proxy", "ExportSummary", no_payload),
-               soap::SoapFault);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "vadapt/annealing.hpp"
-#include "vadapt/cluster.hpp"
 #include "vadapt/greedy.hpp"
 #include "vadapt/incremental.hpp"
 #include "vadapt/multistart.hpp"
@@ -427,19 +426,6 @@ TEST(WarmStartWidestCacheTest, SurvivorsMatchFreshRecomputeOverRandomUpdates) {
   EXPECT_GT(survivors_checked, 300u) << "invalidation was effectively wholesale";
 }
 
-TEST(WarmStartWidestCacheTest, InvalidateSourceDropsExactlyOneTree) {
-  const CapacityGraph graph = random_graph(6, 55);
-  AdjacencyView view(graph.bandwidth_matrix());
-  WidestPathCache cache(view);
-  for (HostIndex s = 0; s < graph.size(); ++s) cache.tree(s);
-  cache.invalidate_source(2);
-  EXPECT_FALSE(cache.is_cached(2));
-  EXPECT_EQ(cache.cached_trees(), graph.size() - 1);
-  const std::size_t misses = cache.misses();
-  cache.tree(2);
-  EXPECT_EQ(cache.misses(), misses + 1);
-}
-
 // --- warm start: view delta protocol --------------------------------------------
 
 TEST(WarmStartViewDeltaTest, TrackingRecordsValueChangesAndInvalidations) {
@@ -652,100 +638,56 @@ TEST(WarmStartOptimizerTest, CompatibilityGuards) {
   EXPECT_FALSE(warm.has_incumbent());
 }
 
-// --- warm start: hierarchical decomposition -------------------------------------
-
-/// A demand set with clear communities: dense rings inside each block of
-/// `block` VMs, plus a weak chain between consecutive blocks.
-std::vector<Demand> community_demands(std::size_t n_vms, std::size_t block, Rng& rng) {
+TEST(WarmStartOptimizerTest, NeighborhoodNeverExceedsCap) {
+  // 24 VMs, each talking to its next four: 96 demands, more than the
+  // default max_neighborhood of 64 — so one burst covers at most the cap,
+  // whatever the delta touches.
+  const std::size_t n_hosts = 32;
+  const std::size_t n_vms = 24;
+  const CapacityGraph graph = random_graph(n_hosts, 91);
+  Rng demand_rng(92);
   std::vector<Demand> demands;
-  for (std::size_t b = 0; b * block < n_vms; ++b) {
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(lo + block, n_vms);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t j = i + 1 < hi ? i + 1 : lo;
-      if (j != i) demands.push_back({i, j, rng.uniform(40e6, 80e6)});
-    }
-    if (lo > 0) demands.push_back({lo - 1, lo, rng.uniform(1e6, 2e6)});  // weak bridge
-  }
-  return demands;
-}
-
-TEST(WarmStartClusterTest, FindsTrafficCommunitiesDeterministically) {
-  Rng rng(71);
-  const std::vector<Demand> demands = community_demands(24, 8, rng);
-  const ClusterAssignment a = cluster_vms_by_traffic(demands, 24);
-  const ClusterAssignment b = cluster_vms_by_traffic(demands, 24);
-  EXPECT_EQ(a.cluster_of, b.cluster_of) << "clustering must be deterministic";
-
-  // Each dense ring must land in one community; the weak bridges must not
-  // glue everything into a single blob.
-  EXPECT_GT(a.size(), 1u);
-  for (std::size_t b_idx = 0; b_idx < 3; ++b_idx) {
-    const std::uint32_t c = a.cluster_of[b_idx * 8];
-    for (std::size_t i = 1; i < 8; ++i) {
-      EXPECT_EQ(a.cluster_of[b_idx * 8 + i], c) << "vm " << (b_idx * 8 + i);
+  for (std::size_t i = 0; i < n_vms; ++i) {
+    for (std::size_t k = 1; k <= 4; ++k) {
+      demands.push_back({i, (i + k) % n_vms, demand_rng.uniform(1e6, 60e6)});
     }
   }
-  std::size_t total = 0;
-  for (const auto& members : a.clusters) total += members.size();
-  EXPECT_EQ(total, 24u);
-}
+  const WarmStartParams params;
+  ASSERT_GT(demands.size(), params.max_neighborhood);
+  const Configuration start = greedy_heuristic(graph, demands, n_vms).configuration;
 
-TEST(WarmStartClusterTest, RespectsSizeCapAndHandlesIdleVms) {
-  Rng rng(73);
-  const std::vector<Demand> demands = community_demands(16, 8, rng);
-  ClusterParams params;
-  params.max_cluster_size = 4;
-  const ClusterAssignment a = cluster_vms_by_traffic(demands, 20, params);  // 4 idle VMs
-  for (const auto& members : a.clusters) EXPECT_LE(members.size(), 4u);
-  ASSERT_EQ(a.cluster_of.size(), 20u);
-  for (std::size_t v = 16; v < 20; ++v) {
-    EXPECT_EQ(a.clusters[a.cluster_of[v]].size(), 1u) << "idle vm " << v << " not a singleton";
-  }
-}
-
-TEST(WarmStartOptimizerTest, DecompositionBurstsAreDeterministicAndMonotone) {
-  const std::size_t n_hosts = 48;
-  const std::size_t n_vms = 32;
-  const CapacityGraph graph = random_graph(n_hosts, 83);
-  Rng demand_rng(84);
-  const std::vector<Demand> demands = community_demands(n_vms, 8, demand_rng);
-
-  WarmStartParams params;
-  params.decomposition_min_vms = 16;   // force the hierarchical path
-  params.decomposition_min_targets = 8;
-  params.max_neighborhood = 64;
-  params.max_cluster_size = 8;
-  params.min_burst_iterations = 200;
-  params.max_burst_iterations = 1000;
-
-  const GreedyResult gh = greedy_heuristic(graph, demands, n_vms);
-  WarmStartOptimizer a(params);
-  WarmStartOptimizer b(params);
-  a.adopt(graph, demands, n_vms, gh.configuration);
-  b.adopt(graph, demands, n_vms, gh.configuration);
-
-  // A delta wide enough to touch many demands across communities.
-  wren::ViewDelta delta;
-  Rng rng(85);
-  for (std::size_t k = 0; k < 40; ++k) {
-    const auto u = static_cast<HostIndex>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_hosts) - 1));
-    auto v = static_cast<HostIndex>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n_hosts) - 1));
-    if (u == v) v = (v + 1) % n_hosts;
-    delta.note_bandwidth(graph.host(u), graph.host(v), rng.uniform(5e6, 500e6));
+  // Rate drift on every demand: all 96 are pulled in, the cap trims them.
+  {
+    WarmStartOptimizer warm(params);
+    warm.adopt(graph, demands, n_vms, start);
+    std::vector<Demand> drifted = demands;
+    for (Demand& d : drifted) d.rate_bps *= 1.5;
+    const WarmAdaptStats stats = warm.adapt(wren::ViewDelta{}, drifted, Rng(93));
+    EXPECT_EQ(stats.rate_changes, demands.size());
+    EXPECT_EQ(stats.target_demands, params.max_neighborhood);
+    EXPECT_GE(stats.cost_after, stats.cost_before);
   }
 
-  const WarmAdaptStats sa = a.adapt(delta, demands, Rng(86));
-  const WarmAdaptStats sb = b.adapt(delta, demands, Rng(86));
-  EXPECT_GT(sa.burst_groups, 1u) << "expected a decomposed (multi-burst) adapt";
-  EXPECT_GE(sa.cost_after, sa.cost_before);
-  EXPECT_EQ(sa.cost_after, sb.cost_after);
-  EXPECT_EQ(a.incumbent().mapping, b.incumbent().mapping);
-  EXPECT_EQ(a.incumbent().paths, b.incumbent().paths);
-  // Warm bursts are path-only: the mapping (hence VM placement) is stable.
-  EXPECT_EQ(a.incumbent().mapping, gh.configuration.mapping);
+  // One edge widened far past every demand's bottleneck: every demand is a
+  // gain candidate, and the cap trims the candidates too.
+  {
+    WarmStartOptimizer a(params);
+    WarmStartOptimizer b(params);
+    a.adopt(graph, demands, n_vms, start);
+    b.adopt(graph, demands, n_vms, start);
+    wren::ViewDelta delta;
+    delta.note_bandwidth(graph.host(0), graph.host(1), 1e12);
+    const WarmAdaptStats stats = a.adapt(delta, demands, Rng(94));
+    EXPECT_EQ(stats.patched_edges, 1u);
+    EXPECT_EQ(stats.rate_changes, 0u);
+    EXPECT_EQ(stats.target_demands, params.max_neighborhood);
+    EXPECT_GE(stats.cost_after, stats.cost_before);
+    // Same delta and seed, same committed configuration.
+    EXPECT_EQ(b.adapt(delta, demands, Rng(94)).cost_after, stats.cost_after);
+    EXPECT_EQ(a.incumbent().paths, b.incumbent().paths);
+    // Warm bursts are path-only: the mapping (hence VM placement) is stable.
+    EXPECT_EQ(a.incumbent().mapping, start.mapping);
+  }
 }
 
 }  // namespace

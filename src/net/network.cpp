@@ -21,10 +21,10 @@ Network::Network(sim::Simulator& sim) : sim_(sim) {}
 NodeId Network::add_node(std::string name, bool is_host) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(NodeInfo{std::move(name), is_host});
+  out_.emplace_back();
   host_stacks_.emplace_back();
   taps_.emplace_back();
-  routes_valid_ = false;
-  channel_index_valid_ = false;  // stride changes with the node count
+  routes_valid_ = false;  // first_hop_'s stride is the node count
   return id;
 }
 
@@ -48,20 +48,18 @@ void Network::add_link(NodeId a, NodeId b, const LinkConfig& config) {
       }
     });
     raw->set_on_delivered([this, to](Packet&& pkt) { handle_arrival(std::move(pkt), to); });
-    channel_by_pair_[{from, to}] = raw;
+    out_[from].push_back(raw);
     channels_.push_back(std::move(ch));
   }
   routes_valid_ = false;
-  channel_index_valid_ = false;
 }
 
-void Network::rebuild_channel_index() {
-  index_stride_ = nodes_.size();
-  channel_index_.assign(index_stride_ * index_stride_, nullptr);
-  for (const auto& [pair, ch] : channel_by_pair_) {
-    channel_index_[static_cast<std::size_t>(pair.first) * index_stride_ + pair.second] = ch;
+Channel* Network::find_channel(NodeId from, NodeId to) const {
+  if (from >= out_.size()) return nullptr;
+  for (Channel* ch : out_[from]) {
+    if (ch->to() == to) return ch;
   }
-  channel_index_valid_ = true;
+  return nullptr;
 }
 
 Channel& Network::channel(NodeId from, NodeId to) {
@@ -82,84 +80,88 @@ bool Network::has_channel(NodeId from, NodeId to) const {
 
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
-  next_hop_.assign(n, std::vector<NodeId>(n, kInvalidNode));
+  first_hop_.assign(n * n, kNoRoute);
 
-  // Adjacency lists from the channel map.
-  std::vector<std::vector<std::pair<NodeId, SimTime>>> adj(n);
-  for (const auto& [pair, ch] : channel_by_pair_) {
-    adj[pair.first].push_back({pair.second, ch->prop_delay() + kPerHopCost});
+  // A compact copy of the out-links, so the search never touches a Channel.
+  struct Edge {
+    NodeId to;
+    ChannelId channel;
+    SimTime weight;
+  };
+  std::vector<std::vector<Edge>> adj(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const Channel* ch : out_[u]) {
+      adj[u].push_back({ch->to(), ch->id(), ch->prop_delay() + kPerHopCost});
+    }
   }
 
   // Dijkstra from every source; record the first hop of each shortest path.
+  // The heap pops by (dist, node), a total order, so the routes (and their
+  // tie-breaks: lower node id first) do not depend on the order of the
+  // out-links. dist and the heap's storage are reused across sources.
+  std::vector<SimTime> dist(n);
+  using Item = std::pair<SimTime, NodeId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   for (NodeId src = 0; src < n; ++src) {
-    std::vector<SimTime> dist(n, std::numeric_limits<SimTime>::max());
-    std::vector<NodeId> first_hop(n, kInvalidNode);
-    using Item = std::pair<SimTime, NodeId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    ChannelId* row = first_hop_.data() + static_cast<std::size_t>(src) * n;
+    std::fill(dist.begin(), dist.end(), std::numeric_limits<SimTime>::max());
     dist[src] = 0;
     pq.push({0, src});
     while (!pq.empty()) {
       auto [d, u] = pq.top();
       pq.pop();
       if (d > dist[u]) continue;
-      for (auto [v, w] : adj[u]) {
-        const SimTime nd = d + w;
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          first_hop[v] = (u == src) ? v : first_hop[u];
-          pq.push({nd, v});
+      for (const Edge& e : adj[u]) {
+        const SimTime nd = d + e.weight;
+        if (nd < dist[e.to]) {
+          dist[e.to] = nd;
+          row[e.to] = (u == src) ? e.channel : row[u];
+          pq.push({nd, e.to});
         }
       }
     }
-    next_hop_[src] = std::move(first_hop);
   }
   routes_valid_ = true;
-  // The dense index shares the routing tables' lifecycle: packets only flow
-  // after compute_routes, so the hot path always sees a valid index.
-  rebuild_channel_index();
+}
+
+ChannelId Network::first_hop(NodeId at, NodeId dst) const {
+  VW_REQUIRE(routes_valid_, "Network: routes not computed before a route lookup");
+  const std::size_t n = nodes_.size();
+  if (at >= n || dst >= n) throw std::out_of_range("Network: route lookup on a bad node");
+  return first_hop_[static_cast<std::size_t>(at) * n + dst];
 }
 
 NodeId Network::next_hop(NodeId at, NodeId dst) const {
-  VW_REQUIRE(routes_valid_, "Network: routes not computed before next_hop lookup");
-  return next_hop_.at(at).at(dst);
+  const ChannelId hop = first_hop(at, dst);
+  return hop == kNoRoute ? kInvalidNode : channels_[hop]->to();
+}
+
+bool Network::walk_route(NodeId a, NodeId b, SmallFn<void(Channel&)> visit) const {
+  for (NodeId at = a; at != b;) {
+    const ChannelId hop = first_hop(at, b);
+    if (hop == kNoRoute) return false;
+    Channel& ch = *channels_[hop];
+    visit(ch);
+    at = ch.to();
+  }
+  return true;
 }
 
 SimTime Network::path_prop_delay(NodeId a, NodeId b) const {
-  if (a == b) return 0;
   SimTime total = 0;
-  NodeId at = a;
-  while (at != b) {
-    const NodeId nh = next_hop(at, b);
-    if (nh == kInvalidNode) return -1;
-    total += channel(at, nh).prop_delay();
-    at = nh;
-  }
-  return total;
+  return walk_route(a, b, [&total](Channel& ch) { total += ch.prop_delay(); }) ? total : -1;
 }
 
 double Network::path_bottleneck_bps(NodeId a, NodeId b) const {
-  if (a == b) return std::numeric_limits<double>::infinity();
   double bottleneck = std::numeric_limits<double>::infinity();
-  NodeId at = a;
-  while (at != b) {
-    const NodeId nh = next_hop(at, b);
-    if (nh == kInvalidNode) return 0.0;
-    bottleneck = std::min(bottleneck, channel(at, nh).capacity_bps());
-    at = nh;
-  }
-  return bottleneck;
+  const bool routed = walk_route(
+      a, b, [&bottleneck](Channel& ch) { bottleneck = std::min(bottleneck, ch.capacity_bps()); });
+  return routed ? bottleneck : 0.0;
 }
 
 bool Network::path_up(NodeId a, NodeId b) const {
-  if (a == b) return true;
-  NodeId at = a;
-  while (at != b) {
-    const NodeId nh = next_hop(at, b);
-    if (nh == kInvalidNode) return false;
-    if (channel(at, nh).is_down()) return false;
-    at = nh;
-  }
-  return true;
+  bool up = true;
+  return walk_route(a, b, [&up](Channel& ch) { up = up && !ch.is_down(); }) && up;
 }
 
 void Network::send(Packet pkt) {
@@ -180,11 +182,9 @@ void Network::send(Packet pkt) {
 }
 
 void Network::forward(Packet&& pkt, NodeId at) {
-  const NodeId nh = next_hop(at, pkt.flow.dst);
-  if (nh == kInvalidNode) return;  // unreachable: silently dropped (like IP)
-  Channel* ch = find_channel(at, nh);
-  VW_ASSERT(ch != nullptr, "Network::forward: next hop without a channel (", at, " -> ", nh, ")");
-  ch->enqueue(std::move(pkt));
+  const ChannelId hop = first_hop(at, pkt.flow.dst);
+  if (hop == kNoRoute) return;  // unreachable: silently dropped (like IP)
+  channels_[hop]->enqueue(std::move(pkt));
 }
 
 void Network::handle_arrival(Packet&& pkt, NodeId at) {

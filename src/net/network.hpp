@@ -46,8 +46,8 @@ class Network {
   /// Adds a full-duplex link (two symmetric channels) between a and b.
   void add_link(NodeId a, NodeId b, const LinkConfig& config);
 
-  /// Recomputes the all-pairs next-hop table; must be called after topology
-  /// construction and after any add_link.
+  /// Recomputes the all-pairs first-hop table; must be called after topology
+  /// construction and after any add_node or add_link.
   void compute_routes();
 
   // --- data path ---------------------------------------------------------
@@ -75,7 +75,8 @@ class Network {
   const NodeInfo& node(NodeId id) const { return nodes_.at(id); }
   sim::Simulator& simulator() { return sim_; }
 
-  /// The directed channel from `from` to `to`; throws when absent.
+  /// The directed channel from `from` to `to` (the link itself, not the
+  /// route); throws when absent. Needs no routes.
   Channel& channel(NodeId from, NodeId to);
   const Channel& channel(NodeId from, NodeId to) const;
   bool has_channel(NodeId from, NodeId to) const;
@@ -97,41 +98,43 @@ class Network {
   std::uint64_t packets_dropped() const;
 
  private:
+  friend class ReservationManager;
+
   void handle_arrival(Packet&& pkt, NodeId at);
   void deliver_to_host(Packet&& pkt);
   void forward(Packet&& pkt, NodeId at);
   void fire_taps(NodeId host, TapDirection dir, SimTime t, const Packet& pkt);
-  void rebuild_channel_index();
 
-  /// Hot-path channel resolution: a single indexed load once the dense
-  /// index has been built (compute_routes); falls back to the ordered map
-  /// during cold construction-time queries. nullptr when absent.
-  Channel* find_channel(NodeId from, NodeId to) const {
-    if (channel_index_valid_) {
-      if (from >= index_stride_ || to >= index_stride_) return nullptr;
-      return channel_index_[static_cast<std::size_t>(from) * index_stride_ + to];
-    }
-    auto it = channel_by_pair_.find({from, to});
-    return it == channel_by_pair_.end() ? nullptr : it->second;
-  }
+  /// The out-link from `from` to `to` (a scan of `from`'s few out-links);
+  /// nullptr when absent or when `from` is not a node.
+  Channel* find_channel(NodeId from, NodeId to) const;
+
+  /// The routed first hop from `at` toward `dst`; kNoRoute when `dst` is
+  /// unreachable or equals `at`. Requires computed routes; throws
+  /// std::out_of_range on a bad node id.
+  ChannelId first_hop(NodeId at, NodeId dst) const;
+
+  /// Calls `visit` on every channel of the routed path a->b, in order.
+  /// False when b is unreachable from a; a == b visits nothing and needs
+  /// no routes.
+  bool walk_route(NodeId a, NodeId b, SmallFn<void(Channel&)> visit) const;
+
+  static constexpr ChannelId kNoRoute = 0xffffffffu;
 
   sim::Simulator& sim_;
   std::vector<NodeInfo> nodes_;
-  std::vector<std::unique_ptr<Channel>> channels_;
-  // Cold-path owner of the (from, to) -> channel relation: construction,
-  // duplicate-link checks, and the deterministic iteration order
-  // compute_routes depends on. The hot path never hashes or searches it —
-  // it goes through channel_index_, a dense n x n pointer matrix rebuilt
-  // alongside the routing tables.
-  std::map<std::pair<NodeId, NodeId>, Channel*> channel_by_pair_;
-  std::vector<Channel*> channel_index_;  ///< [from * index_stride_ + to]
-  std::size_t index_stride_ = 0;
-  bool channel_index_valid_ = false;
+  std::vector<std::unique_ptr<Channel>> channels_;  ///< indexed by ChannelId
+  // The link relation, held once: each node's outgoing channels. Degree is
+  // small, so point lookups scan; compute_routes builds its adjacency here.
+  std::vector<std::vector<Channel*>> out_;
+  // The routes, held once: the ChannelId of the first hop from `at` toward
+  // `dst` at [at * node_count() + dst], kNoRoute when there is none. Valid
+  // only while routes_valid_.
+  std::vector<ChannelId> first_hop_;
+  bool routes_valid_ = false;
   std::vector<HostStackFn> host_stacks_;
   std::vector<std::vector<std::pair<TapId, TapFn>>> taps_;
   std::map<std::pair<NodeId, NodeId>, SimTime> endpoint_delays_;
-  std::vector<std::vector<NodeId>> next_hop_;  ///< [src][dst]
-  bool routes_valid_ = false;
   TapId next_tap_id_ = 1;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t packets_delivered_ = 0;

@@ -9,26 +9,17 @@ ReservationManager::~ReservationManager() {
 std::optional<ReservationId> ReservationManager::reserve_path(const FlowKey& flow,
                                                               double rate_bps,
                                                               std::int64_t burst_bytes) {
-  // Walk the routed path, collecting hops.
-  std::vector<std::pair<NodeId, NodeId>> hops;
-  NodeId at = flow.src;
-  while (at != flow.dst) {
-    const NodeId nh = network_.next_hop(at, flow.dst);
-    if (nh == kInvalidNode) return std::nullopt;  // unroutable
-    hops.push_back({at, nh});
-    at = nh;
+  std::vector<Channel*> hops;
+  if (!network_.walk_route(flow.src, flow.dst, [&hops](Channel& ch) { hops.push_back(&ch); })) {
+    return std::nullopt;  // unroutable
   }
 
   // All-or-nothing admission.
-  std::vector<std::pair<NodeId, NodeId>> granted;
-  for (const auto& [from, to] : hops) {
-    if (!network_.channel(from, to).add_reservation(flow, rate_bps, burst_bytes)) {
-      for (const auto& [gf, gt] : granted) {
-        network_.channel(gf, gt).remove_reservation(flow);
-      }
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (!hops[i]->add_reservation(flow, rate_bps, burst_bytes)) {
+      for (std::size_t granted = 0; granted < i; ++granted) hops[granted]->remove_reservation(flow);
       return std::nullopt;
     }
-    granted.push_back({from, to});
   }
 
   const ReservationId id = next_id_++;
@@ -39,17 +30,15 @@ std::optional<ReservationId> ReservationManager::reserve_path(const FlowKey& flo
 void ReservationManager::release(ReservationId id) {
   auto it = reservations_.find(id);
   if (it == reservations_.end()) return;
-  for (const auto& [from, to] : it->second.hops) {
-    network_.channel(from, to).remove_reservation(it->second.flow);
-  }
+  for (Channel* ch : it->second.hops) ch->remove_reservation(it->second.flow);
   reservations_.erase(it);
 }
 
 double ReservationManager::reserved_on(NodeId from, NodeId to) const {
   double total = 0;
   for (const auto& [id, rec] : reservations_) {
-    for (const auto& hop : rec.hops) {
-      if (hop.first == from && hop.second == to) total += rec.rate_bps;
+    for (const Channel* ch : rec.hops) {
+      if (ch->from() == from && ch->to() == to) total += rec.rate_bps;
     }
   }
   return total;

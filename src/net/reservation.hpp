@@ -45,7 +45,7 @@ class ReservationManager {
   struct Record {
     FlowKey flow;
     double rate_bps;
-    std::vector<std::pair<NodeId, NodeId>> hops;
+    std::vector<Channel*> hops;  ///< the routed path at reservation time
   };
 
   Network& network_;

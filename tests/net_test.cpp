@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "net/network.hpp"
 #include "net/probe.hpp"
 #include "sim/simulator.hpp"
@@ -156,6 +159,84 @@ TEST(NetworkTest, PathBottleneck) {
   net.add_link(r, b, narrow);
   net.compute_routes();
   EXPECT_DOUBLE_EQ(net.path_bottleneck_bps(a, b), 10e6);
+}
+
+TEST(NetworkTest, ChannelLookupIsIndependentOfRoutes) {
+  // A direct a-b link that routing avoids: the 1 ms + 1 ms detour via r is
+  // shorter than the 10 ms link, so the route's first hop is r while the
+  // channel a->b still exists and must still be found.
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_host("a");
+  const NodeId b = net.add_host("b");
+  const NodeId r = net.add_router("r");
+  LinkConfig direct;
+  direct.prop_delay = millis(10);
+  LinkConfig detour;
+  detour.prop_delay = millis(1);
+  net.add_link(a, b, direct);
+  net.add_link(a, r, detour);
+  net.add_link(r, b, detour);
+  EXPECT_TRUE(net.has_channel(a, b));
+
+  net.compute_routes();
+  EXPECT_EQ(net.next_hop(a, b), r);
+  EXPECT_EQ(net.channel(a, b).from(), a);
+  EXPECT_EQ(net.channel(a, b).to(), b);
+  EXPECT_EQ(net.channel(a, b).prop_delay(), millis(10));
+  EXPECT_TRUE(net.has_channel(a, b));
+  EXPECT_EQ(net.path_prop_delay(a, b), millis(2));
+
+  net.add_node("late", false);  // invalidates the routes, not the links
+  EXPECT_TRUE(net.has_channel(a, b));
+  EXPECT_EQ(net.channel(a, b).to(), b);
+}
+
+TEST(NetworkTest, EqualCostPathsBreakTiesByNodeIdAndPathQueriesFollowRoutes) {
+  // A diamond of equal delays. The higher-id router's links are added
+  // first, so the tie-break cannot come from link order.
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_host("a");
+  const NodeId low = net.add_router("low");
+  const NodeId high = net.add_router("high");
+  const NodeId b = net.add_host("b");
+  LinkConfig cfg;
+  cfg.prop_delay = millis(1);
+  net.add_link(a, high, cfg);
+  net.add_link(high, b, cfg);
+  net.add_link(a, low, cfg);
+  net.add_link(low, b, cfg);
+
+  // a == b needs no routes.
+  EXPECT_EQ(net.path_prop_delay(a, a), 0);
+  EXPECT_EQ(net.path_bottleneck_bps(a, a), std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(net.path_up(a, a));
+
+  net.compute_routes();
+  EXPECT_EQ(net.next_hop(a, b), low);
+  EXPECT_EQ(net.next_hop(b, a), low);
+  EXPECT_EQ(net.next_hop(a, a), kInvalidNode);
+  EXPECT_EQ(net.path_prop_delay(a, b), millis(2));
+  EXPECT_TRUE(net.path_up(a, b));
+  EXPECT_EQ(net.path_prop_delay(b, b), 0);
+  EXPECT_EQ(net.path_bottleneck_bps(b, b), std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(net.path_up(b, b));
+
+  // Routing is static: a down link on the routed hop kills the path and
+  // leaves the route where it was, even though the other arm is up.
+  net.set_link_down(low, b, true);
+  EXPECT_EQ(net.next_hop(a, b), low);
+  EXPECT_FALSE(net.path_up(a, b));
+  EXPECT_FALSE(net.path_up(b, a));
+  EXPECT_TRUE(net.path_up(a, high));
+  net.set_link_down(low, b, false);
+  EXPECT_TRUE(net.path_up(a, b));
+
+  // A bad node id throws rather than reading outside the table.
+  const NodeId bad = 99;
+  EXPECT_THROW(net.next_hop(bad, b), std::out_of_range);
+  EXPECT_THROW(net.path_prop_delay(a, bad), std::out_of_range);
 }
 
 TEST(NetworkTest, OutgoingTapFiresAtSerializationCompletion) {

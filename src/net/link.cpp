@@ -101,7 +101,9 @@ bool Channel::enqueue(Packet pkt) {
   // queue, which has its own buffer — a best-effort flood must not be able
   // to starve reserved admissions at the drop-tail stage.
   bool priority = false;
-  if (auto it = reservations_.find(pkt.flow); it != reservations_.end()) {
+  // Reservations are the exception: skip the hash probe on channels with none.
+  if (auto it = reservations_.empty() ? reservations_.end() : reservations_.find(pkt.flow);
+      it != reservations_.end()) {
     Reservation& r = it->second;
     r.tokens = std::min(static_cast<double>(r.burst_bytes),
                         r.tokens + r.rate_bps / 8.0 * to_seconds(sim_.now() - r.last_refill));

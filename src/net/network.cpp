@@ -82,7 +82,25 @@ void Network::compute_routes() {
   const std::size_t n = nodes_.size();
   first_hop_.assign(n * n, kNoRoute);
 
-  // A compact copy of the out-links, so the search never touches a Channel.
+  // The stubs (see the header) and their two channels, found once.
+  struct Stub {
+    NodeId node;
+    NodeId peer;
+    ChannelId up;    ///< node -> peer, the stub's only out-link
+    ChannelId down;  ///< peer -> node
+  };
+  std::vector<Stub> stubs;
+  std::vector<char> is_stub(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    if (out_[u].size() != 1) continue;
+    const Channel* up = out_[u].front();
+    if (out_[up->to()].size() < 2) continue;  // a lone two-node link stays in the search
+    stubs.push_back({u, up->to(), up->id(), find_channel(up->to(), u)->id()});
+    is_stub[u] = 1;
+  }
+
+  // A compact copy of the core's out-links, so the search never touches a
+  // Channel and never enters a stub.
   struct Edge {
     NodeId to;
     ChannelId channel;
@@ -90,19 +108,22 @@ void Network::compute_routes() {
   };
   std::vector<std::vector<Edge>> adj(n);
   for (std::size_t u = 0; u < n; ++u) {
+    if (is_stub[u]) continue;
     for (const Channel* ch : out_[u]) {
+      if (is_stub[ch->to()]) continue;
       adj[u].push_back({ch->to(), ch->id(), ch->prop_delay() + kPerHopCost});
     }
   }
 
-  // Dijkstra from every source; record the first hop of each shortest path.
-  // The heap pops by (dist, node), a total order, so the routes (and their
-  // tie-breaks: lower node id first) do not depend on the order of the
+  // Dijkstra from every core source; record the first hop of each shortest
+  // path. The heap pops by (dist, node), a total order, so the routes (and
+  // their tie-breaks: lower node id first) do not depend on the order of the
   // out-links. dist and the heap's storage are reused across sources.
   std::vector<SimTime> dist(n);
   using Item = std::pair<SimTime, NodeId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   for (NodeId src = 0; src < n; ++src) {
+    if (is_stub[src]) continue;
     ChannelId* row = first_hop_.data() + static_cast<std::size_t>(src) * n;
     std::fill(dist.begin(), dist.end(), std::numeric_limits<SimTime>::max());
     dist[src] = 0;
@@ -119,6 +140,18 @@ void Network::compute_routes() {
           pq.push({nd, e.to});
         }
       }
+    }
+    // A stub is reached only through its peer.
+    for (const Stub& s : stubs) row[s.node] = (s.peer == src) ? s.down : row[s.peer];
+  }
+
+  // A stub's every route leaves on its one link: toward its peer and toward
+  // whatever its peer reaches.
+  for (const Stub& s : stubs) {
+    ChannelId* row = first_hop_.data() + static_cast<std::size_t>(s.node) * n;
+    const ChannelId* peer_row = first_hop_.data() + static_cast<std::size_t>(s.peer) * n;
+    for (NodeId dst = 0; dst < n; ++dst) {
+      if (dst != s.node && (dst == s.peer || peer_row[dst] != kNoRoute)) row[dst] = s.up;
     }
   }
   routes_valid_ = true;

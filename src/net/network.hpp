@@ -48,6 +48,16 @@ class Network {
 
   /// Recomputes the all-pairs first-hop table; must be called after topology
   /// construction and after any add_node or add_link.
+  ///
+  /// Dijkstra runs from the core only. A stub is a node with exactly one
+  /// out-link whose peer has more than one (so both ends of a lone two-node
+  /// link are core); an end host on its access link is the usual stub. Its
+  /// row is its one link toward everything its peer reaches, and its column
+  /// in each core row is its peer's entry (the peer -> stub link in the
+  /// peer's own row). Folding is exact: every weight is at least the 1 us
+  /// per-hop cost, so no shortest path crosses a stub, the core's (dist,
+  /// node) pop order is unchanged without the stubs, and a full search
+  /// would set a stub's entry from its peer's final one.
   void compute_routes();
 
   // --- data path ---------------------------------------------------------

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <numeric>
+#include <queue>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/probe.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace vw::net {
 namespace {
@@ -237,6 +243,155 @@ TEST(NetworkTest, EqualCostPathsBreakTiesByNodeIdAndPathQueriesFollowRoutes) {
   const NodeId bad = 99;
   EXPECT_THROW(net.next_hop(bad, b), std::out_of_range);
   EXPECT_THROW(net.path_prop_delay(a, bad), std::out_of_range);
+}
+
+struct RefLink {
+  NodeId a, b;
+  SimTime delay;
+};
+
+// The plain search that compute_routes folds stubs out of: Dijkstra from
+// every source over every link, with the same weights and (dist, node) pop
+// order, recording the first hop's node.
+std::vector<std::vector<NodeId>> full_search_next_hops(std::size_t n,
+                                                       const std::vector<RefLink>& links) {
+  std::vector<std::vector<std::pair<NodeId, SimTime>>> adj(n);
+  for (const RefLink& l : links) {
+    adj[l.a].push_back({l.b, l.delay + micros(1)});
+    adj[l.b].push_back({l.a, l.delay + micros(1)});
+  }
+  std::vector<std::vector<NodeId>> hop(n, std::vector<NodeId>(n, kInvalidNode));
+  for (NodeId src = 0; src < n; ++src) {
+    std::vector<SimTime> dist(n, std::numeric_limits<SimTime>::max());
+    using Item = std::pair<SimTime, NodeId>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist[src] = 0;
+    pq.push({0, src});
+    while (!pq.empty()) {
+      auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[u]) continue;
+      for (auto [v, w] : adj[u]) {
+        if (d + w < dist[v]) {
+          dist[v] = d + w;
+          hop[src][v] = (u == src) ? v : hop[src][u];
+          pq.push({d + w, v});
+        }
+      }
+    }
+  }
+  return hop;
+}
+
+TEST(NetworkTest, StubFoldedRoutesMatchFullSearch) {
+  // Seeded random graphs: a random core, stubs on it, stub chains
+  // (x - y - core), isolated nodes and lone two-node links, with roles
+  // dealt to shuffled ids and delays drawn with ties and zeros.
+  const SimTime delays[] = {0, 0, micros(1), micros(1), micros(2), micros(7)};
+  int stubs = 0, chains = 0, isolated = 0, pairs = 0;
+  std::size_t pairs_checked = 0;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    Rng rng(seed);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 32));
+    std::vector<NodeId> ids(n);
+    std::iota(ids.begin(), ids.end(), NodeId{0});
+    for (std::size_t i = n - 1; i > 0; --i) {
+      const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i)));
+      std::swap(ids[i], ids[j]);
+    }
+    std::vector<RefLink> links;
+    auto link = [&](NodeId a, NodeId b) { links.push_back({a, b, delays[rng.uniform_int(0, 5)]}); };
+    const auto core = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    const double density = rng.uniform(0.1, 0.6);
+    for (std::size_t i = 0; i < core; ++i) {
+      for (std::size_t j = i + 1; j < core; ++j) {
+        if (rng.chance(density)) link(ids[i], ids[j]);
+      }
+    }
+    auto core_node = [&] {
+      return ids[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(core) - 1))];
+    };
+    for (std::size_t i = core; i < n; ++i) {
+      const auto role = rng.uniform_int(0, 3);
+      if (role == 0 && core > 0) {
+        link(ids[i], core_node());
+        ++stubs;
+      } else if (role == 1 && core > 0 && i + 1 < n) {
+        link(ids[i], core_node());
+        link(ids[i + 1], ids[i]);
+        ++chains;
+        ++i;
+      } else if (role == 2 && i + 1 < n) {
+        link(ids[i], ids[i + 1]);
+        ++pairs;
+        ++i;
+      } else {
+        ++isolated;
+      }
+    }
+
+    sim::Simulator sim;
+    Network net(sim);
+    for (std::size_t i = 0; i < n; ++i) net.add_node("n" + std::to_string(i), rng.chance(0.5));
+    for (const RefLink& l : links) {
+      LinkConfig cfg;
+      cfg.prop_delay = l.delay;
+      net.add_link(l.a, l.b, cfg);
+    }
+    net.compute_routes();
+    const auto want = full_search_next_hops(n, links);
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId d = 0; d < n; ++d) {
+        ASSERT_EQ(net.next_hop(a, d), want[a][d]) << "seed " << seed << ": " << a << " -> " << d;
+        ++pairs_checked;
+      }
+    }
+  }
+  EXPECT_GT(stubs, 0);
+  EXPECT_GT(chains, 0);
+  EXPECT_GT(isolated, 0);
+  EXPECT_GT(pairs, 0);
+  EXPECT_GT(pairs_checked, 50'000u);
+}
+
+TEST(NetworkTest, StubThatGainsALinkBecomesCore) {
+  // Build, route, grow, route again: a host on router a, then a router b
+  // reachable only through that host. Routes are asserted before the path
+  // queries walk them, so a looping route fails instead of hanging.
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_router("a");
+  const NodeId c = net.add_router("c");
+  const NodeId h = net.add_host("h");
+  LinkConfig cfg;
+  cfg.prop_delay = millis(1);
+  net.add_link(a, c, cfg);
+  net.add_link(h, a, cfg);
+  net.compute_routes();
+  ASSERT_EQ(net.next_hop(h, c), a);
+  ASSERT_EQ(net.next_hop(c, h), a);
+  ASSERT_EQ(net.next_hop(a, h), h);
+  EXPECT_TRUE(net.path_up(h, c));
+
+  // Static routing: the dead access link kills h's paths, not its routes.
+  net.set_link_down(h, a, true);
+  EXPECT_FALSE(net.path_up(h, c));
+  EXPECT_FALSE(net.path_up(c, h));
+  ASSERT_EQ(net.next_hop(h, c), a);
+  ASSERT_EQ(net.next_hop(c, h), a);
+  net.set_link_down(h, a, false);
+  EXPECT_TRUE(net.path_up(h, c));
+
+  const NodeId b = net.add_router("b");
+  net.add_link(h, b, cfg);
+  net.compute_routes();
+  ASSERT_EQ(net.next_hop(a, b), h);
+  ASSERT_EQ(net.next_hop(c, b), a);
+  ASSERT_EQ(net.next_hop(h, b), b);
+  ASSERT_EQ(net.next_hop(b, c), h);
+  ASSERT_EQ(net.next_hop(h, c), a);
+  EXPECT_EQ(net.path_prop_delay(c, b), millis(3));
+  EXPECT_EQ(net.path_prop_delay(b, c), millis(3));
 }
 
 TEST(NetworkTest, OutgoingTapFiresAtSerializationCompletion) {

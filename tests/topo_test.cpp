@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/simulator.hpp"
 #include "topo/brite.hpp"
 #include "topo/testbed.hpp"
 
@@ -78,6 +79,41 @@ TEST(BriteTest, DeterministicForSeed) {
   ASSERT_EQ(a.edges().size(), b.edges().size());
   for (std::size_t i = 0; i < a.edges().size(); ++i) {
     EXPECT_DOUBLE_EQ(a.edges()[i].bandwidth_bps, b.edges()[i].bandwidth_bps);
+  }
+}
+
+TEST(BriteTest, NetworkHostRoutesLeaveThroughTheirRouter) {
+  // Every host is a stub on its own router: its routes are the router's
+  // plus the access link at each end.
+  BriteParams params;
+  params.nodes = 200;
+  BriteTopology topo(params, Rng(6));
+  sim::Simulator sim;
+  Rng pick(7);
+  const net::LinkConfig access{1e9, micros(5), 256 * 1024};
+  const BriteNetwork bn = make_brite_network(sim, topo, 200, pick, access);
+  const net::Network& net = *bn.network;
+  ASSERT_EQ(bn.hosts.size(), 200u);
+  // Routes first, so a looping route fails before a path query walks it.
+  for (std::size_t i = 0; i < bn.hosts.size(); ++i) {
+    const net::NodeId hi = bn.hosts[i];
+    const net::NodeId ri = bn.routers[bn.host_router[i]];
+    ASSERT_EQ(net.next_hop(ri, hi), hi) << "router of host " << i;
+    for (net::NodeId d = 0; d < net.node_count(); ++d) {
+      if (d == hi) continue;
+      ASSERT_EQ(net.next_hop(hi, d), ri) << "host " << i << " -> node " << d;
+    }
+  }
+  for (std::size_t i = 0; i < bn.hosts.size(); ++i) {
+    const net::NodeId hi = bn.hosts[i];
+    const net::NodeId ri = bn.routers[bn.host_router[i]];
+    for (std::size_t j = 0; j < bn.hosts.size(); ++j) {
+      if (j == i) continue;
+      const net::NodeId rj = bn.routers[bn.host_router[j]];
+      ASSERT_EQ(net.path_prop_delay(hi, bn.hosts[j]),
+                2 * access.prop_delay + net.path_prop_delay(ri, rj))
+          << "hosts " << i << " -> " << j;
+    }
   }
 }
 

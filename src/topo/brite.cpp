@@ -71,11 +71,11 @@ BriteTopology::BriteTopology(const BriteParams& params, Rng rng) : n_(params.nod
 }
 
 void BriteTopology::compute_routes() {
-  parent_.assign(n_, std::vector<std::int32_t>(n_, -1));
+  parent_edge_.assign(n_, std::vector<std::int32_t>(n_, -1));
   dist_.assign(n_, std::vector<double>(n_, std::numeric_limits<double>::infinity()));
   for (std::size_t src = 0; src < n_; ++src) {
     auto& dist = dist_[src];
-    auto& parent = parent_[src];
+    auto& parent_edge = parent_edge_[src];
     dist[src] = 0;
     using Item = std::pair<double, std::size_t>;
     std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
@@ -88,7 +88,7 @@ void BriteTopology::compute_routes() {
         const double nd = d + edges_[eidx].latency_s;
         if (nd < dist[v]) {
           dist[v] = nd;
-          parent[v] = static_cast<std::int32_t>(u);
+          parent_edge[v] = static_cast<std::int32_t>(eidx);
           pq.push({nd, v});
         }
       }
@@ -106,20 +106,13 @@ bool BriteTopology::connected() const {
 std::pair<double, double> BriteTopology::path_metrics(std::size_t from, std::size_t to) const {
   if (from == to) return {std::numeric_limits<double>::infinity(), 0.0};
   if (std::isinf(dist_[from][to])) return {0.0, std::numeric_limits<double>::infinity()};
+  const std::vector<std::int32_t>& parent_edge = parent_edge_[from];
   double bottleneck = std::numeric_limits<double>::infinity();
   std::size_t at = to;
   while (at != from) {
-    const auto prev = static_cast<std::size_t>(parent_[from][at]);
-    // Find the edge prev-at (first match; parallel edges are equivalent here).
-    double bw = 0;
-    for (auto [peer, eidx] : adj_[prev]) {
-      if (peer == at) {
-        bw = edges_[eidx].bandwidth_bps;
-        break;
-      }
-    }
-    bottleneck = std::min(bottleneck, bw);
-    at = prev;
+    const BriteEdge& e = edges_[static_cast<std::size_t>(parent_edge[at])];
+    bottleneck = std::min(bottleneck, e.bandwidth_bps);
+    at = e.a == at ? e.b : e.a;
   }
   return {bottleneck, dist_[from][to]};
 }

@@ -65,8 +65,10 @@ class BriteTopology {
   std::vector<std::pair<double, double>> positions_;
   std::vector<BriteEdge> edges_;
   std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj_;  ///< (peer, edge idx)
-  // Routing tables: for each source, predecessor on shortest-latency path.
-  std::vector<std::vector<std::int32_t>> parent_;
+  // Routing tables: for each source, the edge (index into edges_) by which
+  // the shortest-latency path reaches each node, -1 for the source and for
+  // unreachable nodes.
+  std::vector<std::vector<std::int32_t>> parent_edge_;
   std::vector<std::vector<double>> dist_;
 };
 

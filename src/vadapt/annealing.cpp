@@ -35,8 +35,8 @@ class FullRescorer {
                const Objective& objective)
       : graph_(&graph), demands_(&demands), objective_(objective) {}
 
-  void reset(Configuration conf) {
-    conf_ = std::move(conf);
+  void reset(const Configuration& conf) {
+    conf_ = conf;
     eval_ = evaluate(*graph_, *demands_, conf_, objective_);
   }
 
@@ -80,6 +80,7 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
   Path old_path;                  // revert buffer for single-path moves
   Path candidate_path;            // perturbed path under consideration
   Configuration previous_conf;    // revert buffer for mapping moves
+  Configuration candidate;        // mapping-move candidate
 
   // Move statistics stay in locals: the hot loop must not touch atomics.
   std::uint64_t n_accepted = 0;
@@ -96,10 +97,10 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
     std::size_t moved_demand = 0;
     if (mapping_move) {
       previous_conf = ev.configuration();
-      Configuration candidate = previous_conf;
+      candidate = previous_conf;
       perturb_mapping(candidate, n_hosts, rng, scratch);
       reset_paths_direct(candidate, demands);  // new mapping invalidates paths
-      ev.reset(std::move(candidate));
+      ev.reset(candidate);
       cand_eval = ev.evaluation();
     } else if (n_demands > 0) {
       moved_demand = static_cast<std::size_t>(
@@ -137,7 +138,7 @@ AnnealingResult anneal_loop(const CapacityGraph& graph, const std::vector<Demand
         result.best_evaluation = current_eval;
       }
     } else if (mapping_move) {
-      ev.reset(std::move(previous_conf));
+      ev.reset(previous_conf);
     } else if (n_demands > 0) {
       ev.set_path(moved_demand, old_path);  // O(path length) revert
     }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -26,25 +27,31 @@ inline void reset_paths_direct(Configuration& conf, const std::vector<Demand>& d
 }
 
 /// Reusable buffers so the perturb helpers allocate nothing per iteration
-/// (after warm-up): a host-indexed flag array and a candidate pool.
+/// (after warm-up): a host-indexed flag array and a host pool (the mapping
+/// move's free hosts, or the insert move's sorted path hosts).
 struct PerturbScratch {
   std::vector<char> flags;
   std::vector<HostIndex> pool;
 };
 
 /// Insert a random vertex (not already on the path) at a random interior
-/// position. No-op when every vertex is already on the path.
+/// position. No-op when every vertex is already on the path. O(path log
+/// path): the r-th host not on the path is found by walking the path's
+/// sorted hosts, which draws exactly what indexing an ascending pool of the
+/// free hosts would.
 inline void perturb_insert(Path& path, std::size_t n_hosts, Rng& rng, PerturbScratch& scratch) {
   if (path.size() >= n_hosts) return;
-  scratch.flags.assign(n_hosts, 0);
-  for (HostIndex h : path) scratch.flags[h] = 1;
-  scratch.pool.clear();
-  for (HostIndex h = 0; h < n_hosts; ++h) {
-    if (!scratch.flags[h]) scratch.pool.push_back(h);
+  std::vector<HostIndex>& on_path = scratch.pool;
+  on_path.assign(path.begin(), path.end());
+  std::sort(on_path.begin(), on_path.end());
+  on_path.erase(std::unique(on_path.begin(), on_path.end()), on_path.end());
+  const std::size_t n_free = n_hosts - on_path.size();
+  if (n_free == 0) return;
+  auto v = static_cast<HostIndex>(rng.uniform_int(0, static_cast<std::int64_t>(n_free) - 1));
+  for (HostIndex h : on_path) {
+    if (h > v) break;
+    ++v;  // h is taken: the r-th free host lies one further on
   }
-  if (scratch.pool.empty()) return;
-  const HostIndex v = scratch.pool[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(scratch.pool.size()) - 1))];
   // Interior positions are 1..size-1 (endpoints stay fixed).
   const auto pos = static_cast<std::size_t>(
       rng.uniform_int(1, static_cast<std::int64_t>(path.size()) - 1));

@@ -39,9 +39,10 @@ void CapacityGraph::set_symmetric_latency(HostIndex a, HostIndex b, double s) {
 }
 
 bool valid_mapping(const std::vector<HostIndex>& mapping, std::size_t n_hosts) {
-  // Flat scratch instead of a node-allocating std::set: these run inside
-  // VW_AUDIT on optimizer hot paths. thread_local keeps them allocation-free
-  // after warm-up and safe under the multi-start thread pool.
+  // Flat scratch instead of a node-allocating std::set: this and valid_path
+  // run inside VW_AUDIT on optimizer hot paths. thread_local keeps their
+  // scratch allocation-free after warm-up and safe under the multi-start
+  // thread pool.
   thread_local std::vector<char> used;
   used.assign(n_hosts, 0);
   for (HostIndex h : mapping) {
@@ -58,14 +59,13 @@ bool valid_path(const Path& path, const Configuration& conf, const Demand& deman
   if (demand.src >= conf.mapping.size() || demand.dst >= conf.mapping.size()) return false;
   if (path.front() != conf.mapping[demand.src]) return false;
   if (path.back() != conf.mapping[demand.dst]) return false;
-  thread_local std::vector<char> seen;
-  seen.assign(n_hosts, 0);
-  for (HostIndex h : path) {
-    if (h >= n_hosts) return false;
-    if (seen[h]) return false;
-    seen[h] = 1;
-  }
-  return true;
+  // Distinctness from a sorted copy: O(path log path), not O(n_hosts) —
+  // this audit runs on every IncrementalEvaluator::set_path.
+  thread_local std::vector<HostIndex> sorted;
+  sorted.assign(path.begin(), path.end());
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.back() >= n_hosts) return false;
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 }
 
 std::vector<std::vector<double>> residual_capacities(const CapacityGraph& graph,

@@ -98,9 +98,10 @@ std::vector<std::uint32_t> WarmStartOptimizer::select_targets(
   // new residual — rank those by potential gain and fill the remaining
   // neighborhood slots. One pass over the demand list (cheap next to any
   // burst; the patch list is already delta-sized).
-  std::vector<EdgePatch> increased;
+  // Residual of each widened edge, read once (an edge lookup each).
+  std::vector<double> increased;
   for (const EdgePatch& p : patches) {
-    if (p.new_bandwidth > p.old_bandwidth) increased.push_back(p);
+    if (p.new_bandwidth > p.old_bandwidth) increased.push_back(eval_->residual(p.u, p.v));
   }
   if (!increased.empty()) {
     std::vector<std::pair<double, std::uint32_t>> candidates;  // (gain, id)
@@ -108,9 +109,8 @@ std::vector<std::uint32_t> WarmStartOptimizer::select_targets(
     for (std::uint32_t d = 0; d < n_demands; ++d) {
       if (std::binary_search(targets.begin(), targets.end(), d)) continue;
       double gain = 0;
-      for (const EdgePatch& p : increased) {
-        const double headroom = eval_->residual(p.u, p.v) - eval_->bottleneck(d);
-        gain = std::max(gain, headroom);
+      for (double residual : increased) {
+        gain = std::max(gain, residual - eval_->bottleneck(d));
       }
       if (gain > 0) candidates.push_back({gain, d});
     }

@@ -14,8 +14,8 @@
 // Continuous warm-start VADAPT (ROADMAP item 4, DESIGN.md §5j).
 //
 // The from-scratch pipeline re-derives everything per adaptation: a fresh
-// CapacityGraph, a fresh IncrementalEvaluator (O(n²) residual prime), and a
-// full multi-start SA run over the whole problem. With failure re-plans and
+// CapacityGraph (O(n²)), a fresh IncrementalEvaluator, and a full
+// multi-start SA run over the whole problem. With failure re-plans and
 // federation demand refreshes firing adaptations continuously, that batch
 // cost is the system's slowest tier. WarmStartOptimizer instead keeps the
 // incumbent configuration and its evaluator residual state alive across
@@ -93,8 +93,9 @@ class WarmStartOptimizer {
   explicit WarmStartOptimizer(WarmStartParams params = {});
 
   /// Adopt a freshly solved problem as the incumbent (called after every
-  /// cold solve). Copies the graph and demands; O(n²) — the once-per-cold
-  /// cost that subsequent warm adapts amortize away.
+  /// cold solve). Copies the graph and demands. Still O(n²), but only for
+  /// the graph copy: the evaluator's state is O(Σ path length) — the
+  /// once-per-cold cost that subsequent warm adapts amortize away.
   void adopt(const CapacityGraph& graph, std::vector<Demand> demands, std::size_t n_vms,
              Configuration conf, const Objective& objective = {});
 

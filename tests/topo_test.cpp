@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <queue>
+#include <vector>
+
 #include "sim/simulator.hpp"
 #include "topo/brite.hpp"
 #include "topo/testbed.hpp"
@@ -49,6 +54,78 @@ TEST(BriteTest, PathMetricsConsistent) {
   // Symmetric links and symmetric shortest-path costs.
   const auto [bw_r, lat_r] = topo.path_metrics(63, 0);
   EXPECT_DOUBLE_EQ(lat, lat_r);
+}
+
+// The route walk path_metrics replaced: shortest-latency Dijkstra keeping
+// each node's predecessor, then per hop a scan of the predecessor's
+// adjacency for the edge to it. Returns path_metrics(from, to) for every to.
+std::vector<std::pair<double, double>> reference_path_metrics(const BriteTopology& topo,
+                                                              std::size_t from) {
+  const std::size_t n = topo.node_count();
+  const std::vector<BriteEdge>& edges = topo.edges();
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adj(n);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    adj[edges[i].a].push_back({edges[i].b, i});
+    adj[edges[i].b].push_back({edges[i].a, i});
+  }
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  std::vector<std::size_t> parent(n, n);
+  dist[from] = 0;
+  using Item = std::pair<double, std::size_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+  pq.push({0, from});
+  while (!pq.empty()) {
+    const auto [d, u] = pq.top();
+    pq.pop();
+    if (d > dist[u]) continue;
+    for (const auto& [v, e] : adj[u]) {
+      const double nd = d + edges[e].latency_s;
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        parent[v] = u;
+        pq.push({nd, v});
+      }
+    }
+  }
+  std::vector<std::pair<double, double>> out(n);
+  for (std::size_t to = 0; to < n; ++to) {
+    if (to == from) {
+      out[to] = {std::numeric_limits<double>::infinity(), 0.0};
+      continue;
+    }
+    if (std::isinf(dist[to])) {
+      out[to] = {0.0, std::numeric_limits<double>::infinity()};
+      continue;
+    }
+    double bottleneck = std::numeric_limits<double>::infinity();
+    for (std::size_t at = to; at != from; at = parent[at]) {
+      for (const auto& [peer, e] : adj[parent[at]]) {
+        if (peer == at) {
+          bottleneck = std::min(bottleneck, edges[e].bandwidth_bps);
+          break;
+        }
+      }
+    }
+    out[to] = {bottleneck, dist[to]};
+  }
+  return out;
+}
+
+TEST(BriteTest, PathMetricsMatchReferenceWalkOnEveryPair) {
+  for (const std::size_t nodes : {300u, 512u}) {
+    BriteParams params;
+    params.nodes = nodes;
+    params.out_degree = nodes == 300 ? 3 : 2;
+    const BriteTopology topo(params, Rng(nodes));
+    for (std::size_t from = 0; from < nodes; ++from) {
+      const auto ref = reference_path_metrics(topo, from);
+      for (std::size_t to = 0; to < nodes; ++to) {
+        const auto [bw, lat] = topo.path_metrics(from, to);
+        ASSERT_EQ(bw, ref[to].first) << nodes << " nodes, " << from << "->" << to;
+        ASSERT_EQ(lat, ref[to].second) << nodes << " nodes, " << from << "->" << to;
+      }
+    }
+  }
 }
 
 TEST(BriteTest, OverlayCapacityGraphShape) {

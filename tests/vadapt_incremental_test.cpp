@@ -14,14 +14,18 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
+#include <utility>
 
 #include "topo/testbed.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "vadapt/annealing.hpp"
 #include "vadapt/greedy.hpp"
 #include "vadapt/incremental.hpp"
 #include "vadapt/multistart.hpp"
+#include "vadapt/perturb.hpp"
 #include "vadapt/problem.hpp"
 #include "vadapt/warm_start.hpp"
 #include "vadapt/widest_path.hpp"
@@ -184,6 +188,172 @@ TEST(IncrementalEvaluatorTest, TracksSharedEdgeDemands) {
   EXPECT_DOUBLE_EQ(ev.bottleneck(0), 70e6);
   EXPECT_EQ(ev.evaluation().cost,
             evaluate(g, demands, ev.configuration()).cost);
+}
+
+// Distinct directed edges the configuration's paths cross.
+std::set<std::pair<HostIndex, HostIndex>> live_edges(const Configuration& conf) {
+  std::set<std::pair<HostIndex, HostIndex>> edges;
+  for (const Path& p : conf.paths) {
+    for (std::size_t i = 0; i + 1 < p.size(); ++i) edges.insert({p[i], p[i + 1]});
+  }
+  return edges;
+}
+
+TEST(IncrementalEvaluatorTest, EdgeRecordsAreExactlyTheLiveEdgeSet) {
+  const std::size_t n_hosts = 512;
+  const std::size_t n_vms = 48;
+  CapacityGraph graph = random_graph(n_hosts, 31);
+  Rng rng(32);
+  std::vector<Demand> demands = mixed_demands(n_vms, rng);
+  IncrementalEvaluator ev(graph, demands);
+  EXPECT_EQ(ev.tracked_edges(), 0u);
+  ev.reset(random_configuration(graph, demands, n_vms, rng));
+
+  std::set<std::pair<HostIndex, HostIndex>> ever_used = live_edges(ev.configuration());
+  std::size_t last_demand = 0;
+  Path last_path;  // the path the last set_path replaced (empty: nothing to revert)
+  std::size_t refreshed_unused = 0;
+  for (std::size_t iter = 0; iter < 3000; ++iter) {
+    const double op = rng.uniform(0.0, 1.0);
+    if (op < 0.55) {
+      last_demand = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(demands.size()) - 1));
+      last_path = ev.configuration().paths[last_demand];
+      ev.set_path(last_demand, perturb_path(last_path, n_hosts, rng));
+    } else if (op < 0.70) {
+      if (!last_path.empty()) ev.set_path(last_demand, last_path);  // reject-revert
+      last_path.clear();
+    } else if (op < 0.82) {
+      // Patch a live edge or, as often, an arbitrary one.
+      HostIndex u = 0;
+      HostIndex v = 0;
+      const Path& p = ev.configuration().paths[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(demands.size()) - 1))];
+      if (rng.chance(0.5) && p.size() >= 2) {
+        const auto i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(p.size()) - 2));
+        u = p[i];
+        v = p[i + 1];
+      } else {
+        u = static_cast<HostIndex>(rng.uniform_int(0, static_cast<std::int64_t>(n_hosts) - 1));
+        v = (u + 1 + static_cast<HostIndex>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(n_hosts) - 2))) %
+            n_hosts;
+      }
+      if (ev.edge_users(u, v).empty()) ++refreshed_unused;
+      graph.set_bandwidth(u, v, rng.uniform(5e6, 500e6));
+      ev.refresh_edge(u, v);
+    } else if (op < 0.95) {
+      const auto d = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(demands.size()) - 1));
+      demands[d].rate_bps = rng.uniform(1e6, 60e6);
+      ev.set_demand_rate(d, demands[d].rate_bps);
+    } else {
+      ev.reset(random_configuration(graph, demands, n_vms, rng));
+      last_path.clear();
+    }
+
+    const auto live = live_edges(ev.configuration());
+    ever_used.insert(live.begin(), live.end());
+    ASSERT_EQ(ev.tracked_edges(), live.size()) << "iteration " << iter;
+    if (iter % 25 != 0) continue;
+    const Evaluation full = evaluate(graph, demands, ev.configuration());
+    ASSERT_EQ(ev.evaluation().cost, full.cost) << "iteration " << iter;
+    ASSERT_EQ(ev.evaluation().min_residual_bps, full.min_residual_bps) << "iteration " << iter;
+    ASSERT_EQ(ev.evaluation().feasible, full.feasible) << "iteration " << iter;
+    const auto residual = residual_capacities(graph, demands, ev.configuration());
+    for (const auto& [u, v] : live) {
+      ASSERT_EQ(ev.residual(u, v), residual[u][v]) << u << "->" << v << " at " << iter;
+      std::vector<std::uint32_t> users;
+      for (std::size_t d = 0; d < demands.size(); ++d) {
+        const Path& p = ev.configuration().paths[d];
+        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+          if (p[i] == u && p[i + 1] == v) users.push_back(static_cast<std::uint32_t>(d));
+        }
+      }
+      ASSERT_EQ(ev.edge_users(u, v), users) << u << "->" << v << " at " << iter;
+    }
+  }
+  EXPECT_GT(refreshed_unused, 0u);
+
+  // An edge no path ever crossed: patching it leaves no record behind, and
+  // its residual reads the graph's new bandwidth.
+  HostIndex u = 0;
+  HostIndex v = 1;
+  while (ever_used.contains({u, v})) ++v;
+  const std::size_t tracked = ev.tracked_edges();
+  const double cost = ev.evaluation().cost;
+  graph.set_bandwidth(u, v, 123e6);
+  ev.refresh_edge(u, v);
+  EXPECT_EQ(ev.residual(u, v), 123e6);
+  EXPECT_TRUE(ev.edge_users(u, v).empty());
+  EXPECT_EQ(ev.tracked_edges(), tracked);
+  EXPECT_EQ(ev.evaluation().cost, cost);
+
+  // A configuration that routes nothing (empty paths, which the path audit
+  // would reject) leaves no edge state at all...
+  Configuration empty;
+  empty.mapping = ev.configuration().mapping;
+  empty.paths.assign(demands.size(), Path{});
+  contracts::set_audit_enabled(false);
+  ev.reset(empty);
+  contracts::set_audit_enabled(true);
+  EXPECT_EQ(ev.tracked_edges(), 0u);
+  for (const auto& [a, b] : ever_used) {
+    ASSERT_EQ(ev.residual(a, b), graph.bandwidth(a, b)) << a << "->" << b;
+    ASSERT_TRUE(ev.edge_users(a, b).empty()) << a << "->" << b;
+  }
+  // ...and the recycled records serve the next configuration exactly.
+  ev.reset(random_configuration(graph, demands, n_vms, rng));
+  EXPECT_EQ(ev.tracked_edges(), live_edges(ev.configuration()).size());
+  EXPECT_EQ(ev.evaluation().cost, evaluate(graph, demands, ev.configuration()).cost);
+}
+
+// The pool draw perturb_insert replaced: flag the path's hosts, list the
+// free ones ascending, index the list. O(n_hosts) per call.
+void pool_perturb_insert(Path& path, std::size_t n_hosts, Rng& rng) {
+  if (path.size() >= n_hosts) return;
+  std::vector<char> flags(n_hosts, 0);
+  for (HostIndex h : path) flags[h] = 1;
+  std::vector<HostIndex> pool;
+  for (HostIndex h = 0; h < n_hosts; ++h) {
+    if (!flags[h]) pool.push_back(h);
+  }
+  if (pool.empty()) return;
+  const HostIndex v = pool[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  const auto pos = static_cast<std::size_t>(
+      rng.uniform_int(1, static_cast<std::int64_t>(path.size()) - 1));
+  path.insert(path.begin() + static_cast<std::ptrdiff_t>(pos), v);
+}
+
+TEST(PerturbInsertTest, DrawsWhatThePoolDrawDid) {
+  Rng gen(2024);
+  detail::PerturbScratch scratch;
+  std::size_t all_but_one = 0;
+  for (std::size_t trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(gen.uniform_int(3, 70));
+    std::vector<HostIndex> hosts(n);
+    std::iota(hosts.begin(), hosts.end(), HostIndex{0});
+    std::shuffle(hosts.begin(), hosts.end(), gen.engine());
+    std::size_t len = static_cast<std::size_t>(
+        gen.uniform_int(2, static_cast<std::int64_t>(n) - 1));
+    if (trial % 7 == 0) len = n - 1;  // every host but one on the path
+    if (trial % 11 == 0) len = n;     // no free host: a no-op
+    all_but_one += len == n - 1;
+    const Path path(hosts.begin(), hosts.begin() + static_cast<std::ptrdiff_t>(len));
+
+    const auto seed = static_cast<std::uint64_t>(gen.uniform_int(0, 1'000'000'000));
+    Rng ref_rng(seed);
+    Rng rng(seed);
+    Path ref = path;
+    Path got = path;
+    pool_perturb_insert(ref, n, ref_rng);
+    detail::perturb_insert(got, n, rng, scratch);
+    ASSERT_EQ(got, ref) << "trial " << trial;
+    ASSERT_EQ(rng.engine()(), ref_rng.engine()()) << "RNG out of step at trial " << trial;
+  }
+  EXPECT_GT(all_but_one, 200u);
 }
 
 // --- annealing: incremental vs full-rescore reference ---------------------------

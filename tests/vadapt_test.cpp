@@ -50,6 +50,17 @@ TEST(ProblemTest, ValidPathChecks) {
   EXPECT_FALSE(valid_path({0, 1}, conf, d, 3));     // wrong endpoint
   EXPECT_FALSE(valid_path({0, 1, 1, 2}, conf, d, 3));  // repeated vertex
   EXPECT_FALSE(valid_path({}, conf, d, 3));
+
+  conf.mapping = {0, 2, 5};
+  EXPECT_TRUE(valid_path({0, 3, 1, 2}, conf, d, 4));
+  EXPECT_TRUE(valid_path({0}, conf, Demand{0, 0, 1e6}, 4));      // a VM's own traffic
+  EXPECT_FALSE(valid_path({1, 2}, conf, d, 4));                  // wrong source
+  EXPECT_FALSE(valid_path({0, 7, 2}, conf, d, 4));               // interior out of range
+  EXPECT_FALSE(valid_path({0, 5}, conf, Demand{0, 2, 1e6}, 4));  // endpoint out of range
+  EXPECT_FALSE(valid_path({0, 2}, conf, Demand{0, 3, 1e6}, 4));  // VM not in the mapping
+  EXPECT_FALSE(valid_path({0, 1, 3, 1, 2}, conf, d, 4));         // repeated, not adjacent
+  EXPECT_FALSE(valid_path({0, 1, 0, 2}, conf, d, 4));            // revisits the source
+  EXPECT_FALSE(valid_path({0, 2, 2}, conf, d, 4));               // revisits the destination
 }
 
 TEST(ProblemTest, ResidualCapacitySubtraction) {

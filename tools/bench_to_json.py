@@ -219,10 +219,12 @@ def main() -> int:
         speedup = result["speedup_single_link_1024"]
         warm_ratio = result["scaling_ratio_warm_1024_over_256"]
         cold_ratio = result["scaling_ratio_cold_1024_over_256"]
+        warm_ms = {n: times["warm_single_link"][f"hosts_{n}"] * 1e3 for n in (256, 1024)}
         print(
             f"vadapt_warm: cold@1024={times['cold_from_scratch']['hosts_1024']:.3g} s, "
             f"warm@1024={times['warm_single_link']['hosts_1024']:.3g} s, "
             f"speedup={speedup:.1f}x; scaling 1024/256 warm={warm_ratio:.2f} "
+            f"(warm@256={warm_ms[256]:.3g} ms, warm@1024={warm_ms[1024]:.3g} ms) "
             f"cold={cold_ratio:.2f}"
         )
         if gate is not None and (speedup is None or speedup < gate):

@@ -7,11 +7,12 @@
 // reads it back, and reproduces the estimate from the file alone.
 //
 // It also runs the capture/replay differential: the same run is captured a
-// second time through the vw.trace.v1 datapath (tap -> lock-free ring ->
-// writer thread -> shard file, lossless kBlock mode). The archive and the
-// shard are both replayed through train extraction + SIC, and each must
-// reproduce, bit for bit, the analysis of the in-memory collect() records
-// they came from, which must in turn equal the online analyzer's estimate.
+// second time through the vw.trace.v1 datapath (tap -> buffered append to
+// a shard file on the simulation thread, which drops nothing). The
+// archive and the shard are both replayed through train extraction + SIC,
+// and each must reproduce, bit for bit, the analysis of the in-memory
+// collect() records they came from, which must in turn equal the online
+// analyzer's estimate.
 // Exit status is nonzero when any estimate differs, so CI can use this as
 // the capture/replay correctness gate.
 //
@@ -55,11 +56,9 @@ int main(int argc, char** argv) {
   wren::TraceFacility trace(net, sender, 1 << 20);
   wren::OnlineAnalyzer online(net, sender);  // for comparison
 
-  // Second capture path, same tap source: the binary datapath in lossless
-  // mode (the differential below demands a complete shard).
-  wren::TraceWriterParams wp;
-  wp.overflow = wren::TraceWriterParams::Overflow::kBlock;
-  wren::TraceWriter writer(net, sender, binary_path, wp);
+  // Second capture path, same tap source: the binary datapath (the
+  // differential below demands a complete shard).
+  wren::TraceWriter writer(net, sender, binary_path);
 
   transport::CbrUdpSource cbr(stack, cross, receiver, 7000, 35e6, 1000);
   cbr.start();
@@ -95,19 +94,19 @@ int main(int argc, char** argv) {
   }
 
   // --- capture/replay differential ---------------------------------------
-  // The archive and the vw.trace.v1 shard captured by the writer thread
-  // must both replay to the exact estimates of the in-memory records: same
-  // records in, same SIC math, bit-identical doubles out.
+  // The archive and the vw.trace.v1 shard captured by the writer must both
+  // replay to the exact estimates of the in-memory records: same records
+  // in, same SIC math, bit-identical doubles out.
   writer.finish();
   const wren::BinaryTrace shard = wren::read_trace_binary_file(binary_path);
-  std::cout << "binary shard: " << shard.records.size() << " records ("
-            << writer.records_dropped() << " dropped) -> " << binary_path << "\n";
+  std::cout << "binary shard: " << shard.records.size() << " of "
+            << writer.records_captured() << " captured records -> " << binary_path << "\n";
   const wren::OfflineResult from_shard =
       wren::analyze_offline(wren::filter_useful(shard.records));
 
   int failures = 0;
-  if (writer.records_dropped() != 0) {
-    std::cerr << "DIFFERENTIAL FAIL: lossless capture dropped records\n";
+  if (writer.records_written() != writer.records_captured()) {
+    std::cerr << "DIFFERENTIAL FAIL: the shard lost captured records\n";
     ++failures;
   }
   auto expect_identical = [&failures, &in_memory](const char* what,

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 
 #include "util/thread_annotations.hpp"
@@ -52,7 +50,8 @@ class VW_SCOPED_CAPABILITY MutexLock {
 /// Condition variable usable with vw::Mutex. wait() requires the mutex held
 /// (condition_variable_any releases and reacquires it internally, which the
 /// analysis treats as opaque — the capability is held again on return, so
-/// the annotation is exact).
+/// the annotation is exact). ThreadPool is its one user; waits are untimed,
+/// so nothing here measures wall time.
 class CondVar {
  public:
   CondVar() = default;
@@ -63,16 +62,6 @@ class CondVar {
   /// the analysis sees the predicate reads happen under the lock (a lambda
   /// predicate would be analyzed as a lock-free function and rejected).
   void wait(Mutex& mu) VW_REQUIRES(mu) { cv_.wait(mu); }
-
-  /// Timed single wakeup (bounded idle sleep for real I/O threads such as
-  /// the trace writer). Returns after a notification or once `micros`
-  /// microseconds of wall time elapsed — callers re-check their guarded
-  /// predicate either way. This is a wall-clock *duration*, not a clock
-  /// read: virtual-time determinism is unaffected because no simulated
-  /// decision may depend on it (vwlint R1 still bans clock reads).
-  void wait_for_us(Mutex& mu, std::int64_t micros) VW_REQUIRES(mu) {
-    cv_.wait_for(mu, std::chrono::microseconds(micros));
-  }
 
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }

@@ -87,8 +87,7 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
     warm_ = std::make_unique<vadapt::WarmStartOptimizer>(config_.warm_start);
   }
   if (!config_.capture_dir.empty()) {
-    capture_ = std::make_unique<wren::CaptureSession>(network_, config_.capture_dir,
-                                                      config_.capture);
+    capture_ = std::make_unique<wren::CaptureSession>(network_, config_.capture_dir);
   }
   if (config_.telemetry) {
     const obs::Scope s = scope();
@@ -117,7 +116,7 @@ VirtuosoSystem::VirtuosoSystem(sim::Simulator& sim, net::Network& network, Syste
   }
 }
 
-VirtuosoSystem::~VirtuosoSystem() { finish_capture(); }
+VirtuosoSystem::~VirtuosoSystem() = default;
 
 void VirtuosoSystem::finish_capture() {
   if (capture_) capture_->finish();

@@ -105,11 +105,9 @@ struct SystemConfig {
   /// When non-empty, every daemon host gets a wren::TraceWriter that
   /// persists its packet-header trace as a vw.trace.v1 shard under this
   /// directory (one file per host, shard tag = add order). Shards finalize
-  /// on finish_capture() or destruction and feed the vwcap-* tool suite +
-  /// offline replay.
+  /// on finish_capture(), which reports write errors, or at destruction,
+  /// which does not, and feed the vwcap-* tool suite + offline replay.
   std::string capture_dir;
-  /// Capture datapath tuning (ring size, batch, overflow policy).
-  wren::TraceWriterParams capture;
   /// The federated measurement plane (DESIGN.md §5i). When enabled,
   /// bootstrap() splits the daemons into regions, stands up a RegionalProxy
   /// tier (daemon Wren reports + heartbeats are redirected to the region's
@@ -197,8 +195,10 @@ class VirtuosoSystem {
   /// The binary capture session (one vw.trace.v1 shard per daemon host);
   /// null unless SystemConfig::capture_dir is set.
   wren::CaptureSession* capture() { return capture_.get(); }
-  /// Finalize all capture shards (drain rings, join writer threads, patch
-  /// headers). Idempotent; also runs at destruction. No-op without capture.
+  /// Finalize all capture shards (remove taps, patch headers, close files);
+  /// throws std::runtime_error naming the shard when a write failed.
+  /// Idempotent; destruction finalizes too, without throwing. No-op
+  /// without capture.
   void finish_capture();
 
   // --- federation ---------------------------------------------------------------

@@ -1,24 +1,22 @@
 #include "wren/capture.hpp"
 
+#include <exception>
 #include <filesystem>
 #include <utility>
 
 namespace vw::wren {
 
-CaptureSession::CaptureSession(net::Network& network, std::string dir, TraceWriterParams params)
-    : network_(network), dir_(std::move(dir)), params_(params) {
+CaptureSession::CaptureSession(net::Network& network, std::string dir)
+    : network_(network), dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_);
 }
 
-CaptureSession::~CaptureSession() { finish(); }
-
 TraceWriter& CaptureSession::add_host(net::NodeId host) {
-  TraceWriterParams params = params_;
-  params.shard = static_cast<std::uint32_t>(writers_.size());
+  const auto shard = static_cast<std::uint32_t>(writers_.size());
   const std::string path =
       (std::filesystem::path(dir_) / ("trace_host" + std::to_string(host) + ".vwtrace"))
           .string();
-  writers_.push_back(std::make_unique<TraceWriter>(network_, host, path, params));
+  writers_.push_back(std::make_unique<TraceWriter>(network_, host, path, shard));
   if (scope_.enabled()) writers_.back()->set_obs(scope_);
   return *writers_.back();
 }
@@ -29,18 +27,20 @@ void CaptureSession::set_obs(const obs::Scope& scope) {
 }
 
 void CaptureSession::finish() {
-  for (auto& w : writers_) w->finish();
+  std::exception_ptr first_error;
+  for (auto& w : writers_) {
+    try {
+      w->finish();
+    } catch (const std::exception&) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::uint64_t CaptureSession::records_captured() const {
   std::uint64_t n = 0;
   for (const auto& w : writers_) n += w->records_captured();
-  return n;
-}
-
-std::uint64_t CaptureSession::records_dropped() const {
-  std::uint64_t n = 0;
-  for (const auto& w : writers_) n += w->records_dropped();
   return n;
 }
 

@@ -9,19 +9,19 @@
 #include "wren/trace_writer.hpp"
 
 // One capture session = one directory of vw.trace.v1 shards, one TraceWriter
-// (tap + SPSC ring + writer thread) per captured host. This is the unit the
-// --capture <dir> flags on examples/benches create: every tapped host gets
-// shard file <dir>/trace_host<id>.vwtrace whose shard tag is the add order,
-// and the whole corpus merges back into one time-ordered trace with
-// vwcap-extract.
+// per captured host. This is the unit the --capture <dir> flags on
+// examples/benches create: every tapped host gets shard file
+// <dir>/trace_host<id>.vwtrace whose shard tag is the add order, and the
+// whole corpus merges back into one time-ordered trace with vwcap-extract.
 
 namespace vw::wren {
 
 class CaptureSession {
  public:
   /// Creates `dir` (and parents) if needed; shards are written inside it.
-  CaptureSession(net::Network& network, std::string dir, TraceWriterParams params = {});
-  ~CaptureSession();
+  /// Destruction finishes every shard, as ~TraceWriter does: write errors
+  /// are reported only by finish().
+  CaptureSession(net::Network& network, std::string dir);
 
   CaptureSession(const CaptureSession&) = delete;
   CaptureSession& operator=(const CaptureSession&) = delete;
@@ -33,21 +33,19 @@ class CaptureSession {
   /// Forwarded to every current and future writer.
   void set_obs(const obs::Scope& scope);
 
-  /// Finalize every shard (drain rings, join writer threads, patch
-  /// headers). Idempotent; also run by the destructor.
+  /// Finalize every shard (remove taps, patch headers, close files), then
+  /// rethrow the first shard's write error, if any. Idempotent.
   void finish();
 
   const std::string& dir() const { return dir_; }
   const std::vector<std::unique_ptr<TraceWriter>>& writers() const { return writers_; }
 
-  /// Aggregates across all shards (valid any time; exact after finish()).
+  /// Records tapped across all shards.
   std::uint64_t records_captured() const;
-  std::uint64_t records_dropped() const;
 
  private:
   net::Network& network_;
   std::string dir_;
-  TraceWriterParams params_;
   obs::Scope scope_;
   std::vector<std::unique_ptr<TraceWriter>> writers_;
 };

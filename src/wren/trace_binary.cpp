@@ -137,7 +137,9 @@ BinaryTrace read_trace_binary(std::istream& in) {
 
   BinaryTrace trace;
   trace.header = decode_header(hdr.data());
-  trace.records.reserve(static_cast<std::size_t>(trace.header.record_count));
+  // No reserve(record_count): the header is untrusted until the body has
+  // been counted, and a corrupt count must surface as a count mismatch,
+  // not as a huge allocation.
 
   std::array<unsigned char, kTraceRecordSize> buf;
   std::uint64_t n = 0;

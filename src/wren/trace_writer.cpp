@@ -2,47 +2,32 @@
 
 #include <stdexcept>
 #include <utility>
-#include <vector>
-
-#include "util/check.hpp"
 
 namespace vw::wren {
 
 TraceWriter::TraceWriter(net::Network& network, net::NodeId host, std::string path,
-                         TraceWriterParams params)
-    : network_(network),
-      host_(host),
-      path_(std::move(path)),
-      params_(params),
-      ring_(params.ring_capacity) {
-  VW_REQUIRE(params_.batch > 0, "TraceWriter: batch must be positive");
+                         std::uint32_t shard)
+    : network_(network), host_(host), path_(std::move(path)), shard_(shard) {
   out_.open(path_, std::ios::binary | std::ios::trunc);
   if (!out_) throw std::runtime_error("TraceWriter: cannot open " + path_);
-  // Placeholder header; finish() patches record_count/dropped in place.
-  TraceFileHeader header;
-  header.host = host_;
-  header.shard = params_.shard;
-  const auto hdr = encode_header(header);
-  out_.write(reinterpret_cast<const char*>(hdr.data()), static_cast<std::streamsize>(hdr.size()));
-  writer_ = std::thread([this] { writer_loop(); });
+  write_header();  // placeholder; finish() patches record_count in place
   tap_id_ = network_.add_host_tap(host_, [this](const net::TapEvent& ev) { on_tap(ev); });
-  tap_installed_ = true;
 }
 
-TraceWriter::~TraceWriter() { finish(); }
+TraceWriter::~TraceWriter() { finalize(); }
 
 void TraceWriter::set_obs(const obs::Scope& scope) {
-  c_captured_.store(scope.counter("wren.trace.writer.captured"), std::memory_order_relaxed);
-  c_dropped_.store(scope.counter("wren.trace.writer.dropped"), std::memory_order_relaxed);
-  c_written_.store(scope.counter("wren.trace.writer.written"), std::memory_order_relaxed);
-  c_bytes_.store(scope.counter("wren.trace.writer.bytes"), std::memory_order_relaxed);
-  g_ring_.store(scope.gauge("wren.trace.writer.ring"), std::memory_order_relaxed);
+  c_captured_ = scope.counter("wren.trace.writer.captured");
+  c_written_ = scope.counter("wren.trace.writer.written");
+  c_bytes_ = scope.counter("wren.trace.writer.bytes");
 }
 
 void TraceWriter::on_tap(const net::TapEvent& ev) {
   const net::Packet& pkt = *ev.packet;
   if (pkt.flow.proto != net::Protocol::kTcp) return;  // Wren analyzes TCP only
-  PacketRecord r{
+  ++captured_;
+  obs::add(c_captured_);
+  const auto buf = encode_record(PacketRecord{
       .timestamp = ev.timestamp,
       .direction = ev.direction,
       .flow = pkt.flow,
@@ -52,90 +37,36 @@ void TraceWriter::on_tap(const net::TapEvent& ev) {
       .ack = pkt.ack,
       .is_ack = pkt.is_ack,
       .syn = pkt.syn,
-  };
-  while (!ring_.try_push(std::move(r))) {
-    if (params_.overflow == TraceWriterParams::Overflow::kDropOldest) {
-      PacketRecord oldest;
-      if (ring_.try_pop(oldest)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        obs::add(c_dropped_.load(std::memory_order_relaxed));
-      }
-      // Either we freed a slot ourselves or the writer raced us to it; the
-      // next try_push gets it.
-    } else {
-      std::this_thread::yield();  // kBlock: lossless, wait for the writer
-    }
-  }
-  captured_.fetch_add(1, std::memory_order_relaxed);
-  obs::add(c_captured_.load(std::memory_order_relaxed));
-}
-
-std::size_t TraceWriter::drain_batch() {
-  PacketRecord r;
-  std::size_t n = 0;
-  while (n < params_.batch && ring_.try_pop(r)) {
-    append_record(r);
-    ++n;
-  }
-  if (n > 0) {
-    written_.fetch_add(n, std::memory_order_relaxed);
-    obs::add(c_written_.load(std::memory_order_relaxed), n);
-    obs::add(c_bytes_.load(std::memory_order_relaxed), n * kTraceRecordSize);
-  }
-  obs::set(g_ring_.load(std::memory_order_relaxed), static_cast<double>(ring_.size_approx()));
-  return n;
-}
-
-void TraceWriter::append_record(const PacketRecord& r) {
-  const auto buf = encode_record(r);
+  });
   out_.write(reinterpret_cast<const char*>(buf.data()), static_cast<std::streamsize>(buf.size()));
-  bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
-}
-
-void TraceWriter::writer_loop() {
-  for (;;) {
-    const std::size_t drained = drain_batch();
-    if (drained == params_.batch) continue;  // ring still hot: keep pulling
-    out_.flush();                            // idle edge: make the shard durable
-    MutexLock lock(mu_);
-    if (stop_) return;  // finish() drains the tail itself after the join
-    // Bounded idle sleep instead of per-record notification: the producer
-    // is the simulation hot path and must never make a futex syscall per
-    // packet. 500 us of added drain latency is invisible to file capture.
-    cv_.wait_for_us(mu_, 500);
-  }
+  if (!out_) return;  // a failed stream accepts nothing more; finish() reports it
+  ++written_;
+  bytes_ += buf.size();
+  obs::add(c_written_);
+  obs::add(c_bytes_, buf.size());
 }
 
 void TraceWriter::finish() {
   if (finished_) return;
-  if (tap_installed_) {
-    network_.remove_host_tap(host_, tap_id_);
-    tap_installed_ = false;
-  }
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (writer_.joinable()) writer_.join();
-  // Tail drain: the producer is detached and the writer thread has exited,
-  // so this thread is the only one touching the ring now.
-  while (drain_batch() > 0) {
-  }
-  patch_header();
-  out_.flush();
-  out_.close();
-  finished_ = true;
+  finalize();
+  if (!out_) throw std::runtime_error("TraceWriter: write failed: " + path_);
 }
 
-void TraceWriter::patch_header() {
+void TraceWriter::finalize() {
+  if (finished_) return;
+  finished_ = true;
+  network_.remove_host_tap(host_, tap_id_);
+  out_.seekp(0);
+  write_header();
+  out_.close();
+}
+
+void TraceWriter::write_header() {
   TraceFileHeader header;
   header.host = host_;
-  header.shard = params_.shard;
-  header.record_count = written_.load(std::memory_order_relaxed);
-  header.dropped = dropped_.load(std::memory_order_relaxed);
+  header.shard = shard_;
+  header.record_count = written_;
   const auto hdr = encode_header(header);
-  out_.seekp(0);
   out_.write(reinterpret_cast<const char*>(hdr.data()), static_cast<std::streamsize>(hdr.size()));
 }
 

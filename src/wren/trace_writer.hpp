@@ -1,115 +1,83 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <thread>
 
 #include "net/network.hpp"
 #include "obs/scope.hpp"
-#include "util/mutex.hpp"
-#include "util/spsc_ring.hpp"
 #include "wren/trace_binary.hpp"
 
 // The capture datapath: a host tap that persists every TCP header record to
-// a vw.trace.v1 shard file, without ever blocking the simulation thread on
-// file I/O (the exact-capture listener/writer split).
+// a vw.trace.v1 shard file.
 //
-//   sim thread (producer)            writer thread (consumer)
-//   ─────────────────────            ────────────────────────
-//   tap callback → PacketRecord      batch-drain the ring
-//        │ try_push                       │ encode + buffered fwrite
-//        ▼                                ▼
-//   ┌──────────── SpscRing ────────────────┐ → <dir>/trace_host<id>.vwtrace
+//   tap callback → PacketRecord → encode → buffered std::ofstream append
+//                                          → <dir>/trace_host<id>.vwtrace
 //
-// Overflow policy: kDropOldest (default) pops-and-discards the oldest
-// buffered record so capture never stalls the simulation — drops are
-// counted into the shard header and wren.trace.writer.dropped. kBlock
-// spins the producer until the writer frees a slot: wall-clock slower, but
-// the shard is guaranteed complete (what the replay differential asserts).
+// The append runs on the simulation thread. The simulator runs in virtual
+// time, so a buffered write costs it no simulated time, and the shard is a
+// pure function of the run: no record is ever dropped, and the same seed
+// writes the same bytes.
 //
-// finish() (or the destructor) removes the tap, joins the writer thread,
-// drains whatever is still buffered, and patches the header's record/drop
-// counts — a shard is a valid vw.trace.v1 file only after finish().
+// finish() (or the destructor) removes the tap, flushes, and patches the
+// header's record count — a shard is a valid vw.trace.v1 file only after
+// finish(). The header's drop count is always 0.
 
 namespace vw::wren {
 
-struct TraceWriterParams {
-  std::size_t ring_capacity = 1 << 16;  ///< records buffered between threads
-  std::size_t batch = 1024;             ///< max records drained per writer wakeup
-  enum class Overflow : std::uint8_t {
-    kDropOldest,  ///< never stall the sim; account drops in header + metrics
-    kBlock,       ///< lossless capture; producer waits for the writer
-  };
-  Overflow overflow = Overflow::kDropOldest;
-  std::uint32_t shard = 0;  ///< shard / NIC tag recorded in the file header
-};
-
 class TraceWriter {
  public:
-  /// Taps `host` and streams its TCP header records to `path`. The file is
-  /// created immediately; throws std::runtime_error when it cannot be.
+  /// Taps `host` and streams its TCP header records to `path`; `shard` is
+  /// the shard / NIC tag recorded in the file header. The file is created
+  /// immediately; throws std::runtime_error when it cannot be.
   TraceWriter(net::Network& network, net::NodeId host, std::string path,
-              TraceWriterParams params = {});
+              std::uint32_t shard = 0);
+  /// Finishes the shard; a write error is reported only by finish().
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  /// Attach telemetry (wren.trace.writer.captured/dropped/written/bytes
-  /// counters + wren.trace.writer.ring occupancy gauge). Instruments are
-  /// shared across writers — per-shard numbers live in the shard headers.
+  /// Attach telemetry (wren.trace.writer.captured/written/bytes counters).
+  /// Instruments are shared across writers — per-shard numbers live in the
+  /// shard headers.
   void set_obs(const obs::Scope& scope);
 
-  /// Stop capturing, drain the ring, join the writer thread, and patch the
-  /// shard header with final record/drop counts. Idempotent.
+  /// Stop capturing, patch the shard header with the final record count,
+  /// and close the file. Throws std::runtime_error naming the path when any
+  /// write failed. Idempotent: only the first call can throw.
   void finish();
 
   net::NodeId host() const { return host_; }
   const std::string& path() const { return path_; }
-  std::uint64_t records_captured() const { return captured_.load(std::memory_order_relaxed); }
-  std::uint64_t records_dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  std::uint64_t records_written() const { return written_.load(std::memory_order_relaxed); }
-  std::uint64_t bytes_written() const { return bytes_.load(std::memory_order_relaxed); }
+  std::uint64_t records_captured() const { return captured_; }
+  /// Records / record bytes the stream accepted; they stop growing at the
+  /// first write error.
+  std::uint64_t records_written() const { return written_; }
+  std::uint64_t bytes_written() const { return bytes_; }
   bool finished() const { return finished_; }
 
  private:
   void on_tap(const net::TapEvent& ev);
-  void writer_loop();
-  std::size_t drain_batch();  ///< pops up to params_.batch records; returns count
-  void append_record(const PacketRecord& r);
-  void patch_header();
+  /// finish() without the error report: the stream state keeps the error.
+  void finalize();
+  void write_header();  ///< at the current position, with the current count
 
   net::Network& network_;
   net::NodeId host_;
   std::string path_;
-  TraceWriterParams params_;
-  SpscRing<PacketRecord> ring_;
+  std::uint32_t shard_;
   std::ofstream out_;
   net::TapId tap_id_ = 0;
-  bool tap_installed_ = false;
   bool finished_ = false;
 
-  // Cross-thread statistics (relaxed: monotone counters read for reporting).
-  std::atomic<std::uint64_t> captured_{0};  ///< producer
-  std::atomic<std::uint64_t> dropped_{0};   ///< producer
-  std::atomic<std::uint64_t> written_{0};   ///< consumer
-  std::atomic<std::uint64_t> bytes_{0};     ///< consumer
+  std::uint64_t captured_ = 0;
+  std::uint64_t written_ = 0;
+  std::uint64_t bytes_ = 0;
 
-  Mutex mu_;
-  CondVar cv_;
-  bool stop_ VW_GUARDED_BY(mu_) = false;
-  std::thread writer_;
-
-  // Atomic because set_obs() may run after the writer thread already
-  // started (wiring happens post-construction); instruments are internally
-  // thread-safe, only the pointer installation needs publication.
-  std::atomic<obs::Counter*> c_captured_{nullptr};
-  std::atomic<obs::Counter*> c_dropped_{nullptr};
-  std::atomic<obs::Counter*> c_written_{nullptr};
-  std::atomic<obs::Counter*> c_bytes_{nullptr};
-  std::atomic<obs::Gauge*> g_ring_{nullptr};
+  obs::Counter* c_captured_ = nullptr;
+  obs::Counter* c_written_ = nullptr;
+  obs::Counter* c_bytes_ = nullptr;
 };
 
 }  // namespace vw::wren

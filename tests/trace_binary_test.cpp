@@ -1,15 +1,16 @@
-// Tests for the vw.trace.v1 binary capture datapath: the SPSC ring, the
-// binary codec (incl. corrupt-input handling), the TraceWriter thread, the
-// capture-session wiring, the corpus operations (merge/filter/match), and
-// the binary -> offline-replay differential.
+// Tests for the vw.trace.v1 binary capture datapath: the binary codec
+// (incl. corrupt-input handling), the TraceWriter shard append (incl. write
+// failures), the capture-session wiring and its determinism, the corpus
+// operations (merge/filter/match), and the binary -> offline-replay
+// differential.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "net/network.hpp"
@@ -18,7 +19,6 @@
 #include "sim/simulator.hpp"
 #include "transport/sources.hpp"
 #include "transport/stack.hpp"
-#include "util/spsc_ring.hpp"
 #include "wren/capture.hpp"
 #include "wren/offline.hpp"
 #include "wren/trace.hpp"
@@ -46,95 +46,6 @@ bool records_equal(const PacketRecord& a, const PacketRecord& b) {
   return a.timestamp == b.timestamp && a.direction == b.direction && a.flow == b.flow &&
          a.payload_bytes == b.payload_bytes && a.wire_bytes == b.wire_bytes && a.seq == b.seq &&
          a.ack == b.ack && a.is_ack == b.is_ack && a.syn == b.syn;
-}
-
-// --- SpscRing ----------------------------------------------------------------
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(1000).capacity(), 1024u);
-}
-
-TEST(SpscRingTest, FifoOrderSingleThread) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(int(i)));
-  EXPECT_FALSE(ring.try_push(99));  // full
-  int v = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.try_pop(v));  // empty
-}
-
-TEST(SpscRingTest, DropOldestKeepsNewestWindow) {
-  // The producer-side overflow policy: on full, pop-and-discard the oldest,
-  // then push. The ring must end up holding the newest `capacity` values.
-  SpscRing<int> ring(4);
-  int discarded = 0;
-  for (int i = 0; i < 100; ++i) {
-    while (!ring.try_push(int(i))) {
-      int victim;
-      if (ring.try_pop(victim)) ++discarded;
-    }
-  }
-  EXPECT_EQ(discarded, 96);
-  int v = -1;
-  for (int expect = 96; expect < 100; ++expect) {
-    ASSERT_TRUE(ring.try_pop(v));
-    EXPECT_EQ(v, expect);
-  }
-  EXPECT_FALSE(ring.try_pop(v));
-}
-
-TEST(SpscRingTest, WrapsManyGenerations) {
-  SpscRing<std::uint64_t> ring(4);
-  std::uint64_t v = 0;
-  for (std::uint64_t i = 0; i < 10'000; ++i) {
-    ASSERT_TRUE(ring.try_push(std::uint64_t(i)));
-    ASSERT_TRUE(ring.try_pop(v));
-    ASSERT_EQ(v, i);
-  }
-}
-
-// Producer/consumer stress: covered by the TSan CI job. The producer uses
-// the real capture-path overflow loop (drop-oldest), so the pop path is
-// exercised concurrently from both threads — exactly the contention the
-// sequence stamps exist for.
-TEST(SpscRingTest, ConcurrentProducerConsumerStress) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kCount = 200'000;
-  std::atomic<std::uint64_t> dropped{0};
-
-  std::thread consumer([&] {
-    std::uint64_t last = 0;
-    std::uint64_t popped = 0;
-    std::uint64_t v;
-    while (popped + dropped.load(std::memory_order_acquire) < kCount) {
-      if (ring.try_pop(v)) {
-        // Values must come out in increasing order even with drops — the
-        // ring never reorders, it only loses a prefix of the backlog.
-        ASSERT_GE(v + 1, last + 1);
-        last = v + 1;
-        ++popped;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    while (!ring.try_push(std::uint64_t(i))) {
-      std::uint64_t victim;
-      if (ring.try_pop(victim)) dropped.fetch_add(1, std::memory_order_release);
-    }
-  }
-  consumer.join();
-  std::uint64_t v;
-  while (ring.try_pop(v)) {
-  }  // leftover accounting already settled by the join condition
 }
 
 // --- binary codec ------------------------------------------------------------
@@ -239,6 +150,15 @@ TEST(TraceBinaryTest, RejectsRecordCountMismatch) {
   expect_parse_error(bytes, "count");
 }
 
+TEST(TraceBinaryTest, RejectsRecordCountLargerThanFile) {
+  // A header-only file that claims 2^62 records: the reader must not size
+  // anything from the untrusted count and must report the mismatch.
+  TraceFileHeader h;
+  h.record_count = std::uint64_t{1} << 62;
+  const auto buf = encode_header(h);
+  expect_parse_error(std::string(buf.begin(), buf.end()), "record count mismatch");
+}
+
 TEST(TraceBinaryTest, ReadFileReportsMissingPath) {
   EXPECT_THROW(read_trace_binary_file(temp_path("does-not-exist.vwtrace")),
                std::runtime_error);
@@ -319,10 +239,7 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
   CaptureEnv env;
   const std::string path = temp_path("writer-e2e.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  params.shard = 7;
-  TraceWriter writer(env.net, env.sender, path, params);
+  TraceWriter writer(env.net, env.sender, path, 7);
 
   obs::MetricsRegistry reg;
   writer.set_obs(obs::Scope{&reg, nullptr});
@@ -330,8 +247,8 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
   env.run_transfer();
   writer.finish();
   EXPECT_TRUE(writer.finished());
-  EXPECT_EQ(writer.records_dropped(), 0u);
   EXPECT_EQ(writer.records_written(), writer.records_captured());
+  EXPECT_EQ(writer.bytes_written(), writer.records_written() * kTraceRecordSize);
 
   const auto expected = facility.collect();
   const BinaryTrace shard = read_trace_binary_file(path);
@@ -346,29 +263,11 @@ TEST(TraceWriterTest, CapturesExactlyWhatTheFacilitySees) {
 
   // Telemetry: the writer pipeline accounted every record and byte.
   const obs::MetricsSnapshot snap = reg.snapshot("wren.trace.writer");
-  ASSERT_EQ(snap.metrics.size(), 5u);
+  ASSERT_EQ(snap.metrics.size(), 3u);
   EXPECT_EQ(reg.counter("wren.trace.writer.captured").value(), expected.size());
   EXPECT_EQ(reg.counter("wren.trace.writer.written").value(), expected.size());
-  EXPECT_EQ(reg.counter("wren.trace.writer.dropped").value(), 0u);
   EXPECT_EQ(reg.counter("wren.trace.writer.bytes").value(),
             expected.size() * kTraceRecordSize);
-}
-
-TEST(TraceWriterTest, BlockModeIsLosslessEvenWithTinyRing) {
-  CaptureEnv env;
-  const std::string path = temp_path("writer-tiny.vwtrace");
-  TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriterParams params;
-  params.ring_capacity = 4;  // writer thread is forced to lag
-  params.batch = 2;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  TraceWriter writer(env.net, env.sender, path, params);
-  env.run_transfer();
-  writer.finish();
-
-  EXPECT_EQ(writer.records_dropped(), 0u);
-  const BinaryTrace shard = read_trace_binary_file(path);
-  EXPECT_EQ(shard.records.size(), facility.collect().size());
 }
 
 TEST(TraceWriterTest, FinishIsIdempotentAndDestructorSafe) {
@@ -389,12 +288,51 @@ TEST(TraceWriterTest, ThrowsWhenFileCannotBeCreated) {
                std::runtime_error);
 }
 
+TEST(TraceWriterTest, ReportsWriteFailure) {
+  const std::string path = "/dev/full";  // every write fails with ENOSPC
+  if (!std::filesystem::exists(path)) GTEST_SKIP() << path << " does not exist";
+  CaptureEnv env;
+  TraceWriter writer(env.net, env.sender, path);
+  env.run_transfer();
+  ASSERT_GT(writer.records_captured(), 0u);
+  // Only what the stream accepted before the error counts.
+  EXPECT_LT(writer.records_written(), writer.records_captured());
+  EXPECT_EQ(writer.bytes_written(), writer.records_written() * kTraceRecordSize);
+  try {
+    writer.finish();
+    FAIL() << "finish() must report the failed writes";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(writer.finished());
+  EXPECT_NO_THROW(writer.finish());  // the error is reported once
+}
+
+TEST(CaptureSessionTest, FinishesEveryShardBeforeReportingWriteFailure) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "/dev/full does not exist";
+  CaptureEnv env;
+  const std::filesystem::path dir = temp_path("capture-full");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // The sender's shard path leads to /dev/full; the receiver's is a file.
+  std::filesystem::create_symlink(
+      "/dev/full", dir / ("trace_host" + std::to_string(env.sender) + ".vwtrace"));
+  CaptureSession session(env.net, dir.string());
+  const TraceWriter& failing = session.add_host(env.sender);
+  const TraceWriter& healthy = session.add_host(env.receiver);
+  env.run_transfer();
+
+  EXPECT_THROW(session.finish(), std::runtime_error);
+  EXPECT_TRUE(failing.finished());
+  EXPECT_TRUE(healthy.finished());
+  EXPECT_EQ(read_trace_binary_file(healthy.path()).records.size(), healthy.records_captured());
+  EXPECT_NO_THROW(session.finish());
+}
+
 TEST(CaptureSessionTest, OneShardPerHostMergesTimeOrdered) {
   CaptureEnv env;
   const std::string dir = temp_path("capture-session");
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  CaptureSession session(env.net, dir, params);
+  CaptureSession session(env.net, dir);
   session.add_host(env.sender);
   session.add_host(env.receiver);
   env.run_transfer();
@@ -402,7 +340,6 @@ TEST(CaptureSessionTest, OneShardPerHostMergesTimeOrdered) {
 
   ASSERT_EQ(session.writers().size(), 2u);
   EXPECT_GT(session.records_captured(), 0u);
-  EXPECT_EQ(session.records_dropped(), 0u);
 
   std::vector<std::vector<PacketRecord>> shards;
   for (const auto& w : session.writers()) {
@@ -416,6 +353,36 @@ TEST(CaptureSessionTest, OneShardPerHostMergesTimeOrdered) {
   ASSERT_EQ(merged.size(), session.records_captured());
   for (std::size_t i = 1; i < merged.size(); ++i) {
     EXPECT_LE(merged[i - 1].timestamp, merged[i].timestamp);
+  }
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CaptureSessionTest, SameRunGivesByteIdenticalShards) {
+  // A shard is a pure function of the run: two identical runs captured
+  // into two directories must write the same bytes.
+  auto capture = [](const std::string& dir) {
+    CaptureEnv env;
+    CaptureSession session(env.net, dir);
+    session.add_host(env.sender);
+    session.add_host(env.receiver);
+    env.run_transfer();
+    session.finish();
+    std::vector<std::string> paths;
+    for (const auto& w : session.writers()) paths.push_back(w->path());
+    return paths;
+  };
+  const auto first = capture(temp_path("capture-det-a"));
+  const auto second = capture(temp_path("capture-det-b"));
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const std::string a = file_bytes(first[i]);
+    EXPECT_GT(a.size(), kTraceHeaderSize) << first[i];
+    EXPECT_TRUE(a == file_bytes(second[i])) << first[i] << " vs " << second[i];
   }
 }
 
@@ -493,10 +460,8 @@ TEST(MatchTracesTest, SimulatedTwoPointLatencyRespectsPropagation) {
   CaptureEnv env;
   const std::string from_path = temp_path("match-from.vwtrace");
   const std::string to_path = temp_path("match-to.vwtrace");
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  TraceWriter at_sender(env.net, env.sender, from_path, params);
-  TraceWriter at_receiver(env.net, env.receiver, to_path, params);
+  TraceWriter at_sender(env.net, env.sender, from_path);
+  TraceWriter at_receiver(env.net, env.receiver, to_path);
   env.run_transfer();
   at_sender.finish();
   at_receiver.finish();
@@ -519,9 +484,7 @@ TEST(BinaryReplayDifferentialTest, EstimatesBitIdenticalToInProcessAnalysis) {
   CaptureEnv env;
   const std::string path = temp_path("differential.vwtrace");
   TraceFacility facility(env.net, env.sender, 1 << 20);
-  TraceWriterParams params;
-  params.overflow = TraceWriterParams::Overflow::kBlock;
-  TraceWriter writer(env.net, env.sender, path, params);
+  TraceWriter writer(env.net, env.sender, path);
 
   std::vector<transport::MessagePhase> phases{
       {.count = 60, .message_bytes = 200'000, .spacing = millis(100), .pause_after = 0}};

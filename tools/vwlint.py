@@ -87,9 +87,8 @@ RNG_HOME = {"util/rng.hpp", "util/rng.cpp"}
 HOT_PATH_DIRS = ("sim", "net")
 HOT_PATH_EXEMPT = {"net/fault.hpp"}  # cold construction-time scripting API
 # Headers outside the hot-path dirs whose code still runs per packet: the
-# capture datapath (tap callback -> lock-free ring -> writer thread).
+# capture datapath (tap callback -> buffered shard append).
 HOT_PATH_EXTRA = {
-    "util/spsc_ring.hpp",
     "wren/trace_writer.hpp",
     "wren/capture.hpp",
 }
